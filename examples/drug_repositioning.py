@@ -9,26 +9,24 @@ drug-disease associations, then compare JMF against the cited baselines
 and print the per-method scores, learned source weights, and the top
 novel repositioning hypotheses.
 
-This example still runs the fits inline through the deprecated
-:mod:`repro.compute.shims` wrappers — each call emits a
-``DeprecationWarning`` pointing at the ``/v1/compute`` submission path
-(see ``examples/rwe_delt.py`` for the migrated, gateway-submitted shape).
+The fits run inline on the caller; ``examples/rwe_delt.py`` shows the
+same kind of analysis submitted as a ``/v1/compute`` job instead.
 
 Run:  python examples/drug_repositioning.py
 """
 
-import warnings
-
 import numpy as np
 
 from repro.analytics import (
+    DiseaseSimilarityBuilder,
+    DrugSimilarityBuilder,
     GuiltByAssociation,
+    JointMatrixFactorization,
     PlainMatrixFactorization,
     SideEffectKnn,
     evaluate_masked,
     holdout_mask,
 )
-from repro.compute import shims
 from repro.knowledge import generate_universe
 
 
@@ -37,12 +35,8 @@ def main() -> None:
           "(stand-in for PubChem/DrugBank/SIDER/DisGeNet)...")
     universe = generate_universe(n_drugs=100, n_diseases=70, seed=2024)
 
-    # The inline shims are deprecated in favour of /v1/compute job
-    # submission; surface the warning once so readers see the nudge.
-    with warnings.catch_warnings():
-        warnings.simplefilter("once", DeprecationWarning)
-        drug_sources = shims.run_similarity(universe, side="drug")
-        disease_sources = shims.run_similarity(universe, side="disease")
+    drug_sources = DrugSimilarityBuilder(universe).all_sources()
+    disease_sources = DiseaseSimilarityBuilder(universe).all_sources()
     print(f"  {len(universe.drugs)} drugs, {len(universe.diseases)} "
           f"diseases, association density "
           f"{universe.association_matrix.mean():.1%}")
@@ -51,10 +45,8 @@ def main() -> None:
     training, heldout = holdout_mask(universe.association_matrix, 0.2, rng)
 
     print("\nfitting JMF (rank 10, three drug + three disease sources)...")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        jmf = shims.run_jmf(training, drug_sources, disease_sources,
-                            rank=10, alpha=0.5, seed=1)
+    jmf = JointMatrixFactorization(rank=10, alpha=0.5, seed=1).fit(
+        training, drug_sources, disease_sources)
 
     candidates = {
         "JMF (this platform)": jmf.scores(),

@@ -10,8 +10,8 @@ apply before the scheduler ever sees the graph.
 
 Tenant isolation is strict: a job id belonging to another tenant behaves
 exactly like a missing one (404), so ids cannot be probed across
-tenants.  Every handler threads the job id into the ``audit`` log
-stream, so :meth:`~repro.compliance.audit.AuditService.search_logs`
+tenants.  Every handler threads the job id into the gateway's ``audit``
+log stream, so :meth:`~repro.compliance.audit.AuditService.search_logs`
 reconstructs a job's API history from submission to cancellation.
 
 ``Scheduler.submit`` remains the *internal* surface for platform code;
@@ -21,11 +21,11 @@ this module is the only supported path for tenant traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from ..core.api import ApiGateway, RequestContext, RouteSpec
-from ..core.errors import NotFoundError, ValidationError
-from ..rbac.model import Action, ScopeKind
+from ..core.api import ROUTE_WINDOW_S, ApiSurface, RequestContext, Route
+from ..core.errors import ValidationError
+from ..rbac.model import Action
 from .graph import TaskGraph
 from .scheduler import Job, Scheduler
 
@@ -40,7 +40,7 @@ SUBMIT_RATE_LIMIT = 20
 STATUS_RATE_LIMIT = 240
 RESULT_RATE_LIMIT = 60
 CANCEL_RATE_LIMIT = 30
-RATE_WINDOW_S = 60.0
+RATE_WINDOW_S = ROUTE_WINDOW_S
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,10 @@ class JobStatusResponse:
         }
 
 
-class ComputeApi:
-    """Registers the ``/v1/compute`` routes against one scheduler."""
+class ComputeApi(ApiSurface):
+    """The ``/v1/compute`` routes against one scheduler."""
+
+    noun = "compute job"
 
     def __init__(self, scheduler: Scheduler, *,
                  run_inline: bool = True) -> None:
@@ -115,33 +117,24 @@ class ComputeApi:
         # Tests set False to exercise the PENDING -> ... transitions.
         self.run_inline = run_inline
 
-    # -- wiring ---------------------------------------------------------------
+    def routes(self) -> Tuple[Route, ...]:
+        return (
+            Route("/compute/submit", self.submit, Action.WRITE,
+                  COMPUTE_RESOURCE, SUBMIT_RATE_LIMIT,
+                  "submit a task graph as a compute job"),
+            Route("/compute/status", self.status, Action.READ,
+                  COMPUTE_RESOURCE, STATUS_RATE_LIMIT,
+                  "poll a compute job's lifecycle state", owns="job_id"),
+            Route("/compute/result", self.result, Action.READ,
+                  COMPUTE_RESOURCE, RESULT_RATE_LIMIT,
+                  "fetch a finished compute job's outputs", owns="job_id"),
+            Route("/compute/cancel", self.cancel, Action.WRITE,
+                  COMPUTE_RESOURCE, CANCEL_RATE_LIMIT,
+                  "cancel a pending or running compute job", owns="job_id"),
+        )
 
-    def register_routes(self, gateway: ApiGateway) -> None:
-        gateway.register_route(RouteSpec(
-            path="/compute/submit", handler=self.submit,
-            action=Action.WRITE, resource_type=COMPUTE_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="submit a task graph as a compute job",
-            rate_limit=SUBMIT_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/compute/status", handler=self.status,
-            action=Action.READ, resource_type=COMPUTE_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="poll a compute job's lifecycle state",
-            rate_limit=STATUS_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/compute/result", handler=self.result,
-            action=Action.READ, resource_type=COMPUTE_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="fetch a finished compute job's outputs",
-            rate_limit=RESULT_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/compute/cancel", handler=self.cancel,
-            action=Action.WRITE, resource_type=COMPUTE_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="cancel a pending or running compute job",
-            rate_limit=CANCEL_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
+    def owner(self, job_id: str) -> str:
+        return self.scheduler.job(job_id).tenant_id
 
     # -- handlers -------------------------------------------------------------
 
@@ -154,51 +147,28 @@ class ComputeApi:
         job = self.scheduler.submit(request.graph,
                                     tenant_id=context.tenant_id,
                                     submitted_by=context.user.user_id)
-        self._audit(context, job, "submitted",
-                    extra=f"graph={request.graph.name} "
-                          f"tasks={len(request.graph.tasks)}")
+        self.audit(context, job.job_id, "submitted",
+                   extra=f"graph={request.graph.name} "
+                         f"tasks={len(request.graph.tasks)}")
         if self.run_inline:
             self.scheduler.run(job.job_id)
         return JobStatusResponse.from_job(job).to_body()
 
     def status(self, context: RequestContext, job_id: str) -> Dict[str, Any]:
-        job = self._owned(context, job_id)
-        self._audit(context, job, "status read")
-        return JobStatusResponse.from_job(job).to_body()
+        self.audit(context, job_id, "status read")
+        return JobStatusResponse.from_job(self.scheduler.job(job_id)).to_body()
 
     def result(self, context: RequestContext, job_id: str,
                key: Optional[str] = None) -> Dict[str, Any]:
-        job = self._owned(context, job_id)
         value = self.scheduler.result(job_id, key)
-        self._audit(context, job, "result read",
-                    extra=f"key={key!r}" if key else "all outputs")
+        self.audit(context, job_id, "result read",
+                   extra=f"key={key!r}" if key else "all outputs")
         outputs = value if key is None else {key: value}
-        return {"job_id": job_id, "state": job.state.value,
+        return {"job_id": job_id,
+                "state": self.scheduler.job(job_id).state.value,
                 "outputs": outputs}
 
     def cancel(self, context: RequestContext, job_id: str) -> Dict[str, Any]:
-        job = self._owned(context, job_id)
         self.scheduler.cancel(job_id)
-        self._audit(context, job, "cancellation requested")
-        return JobStatusResponse.from_job(job).to_body()
-
-    # -- internals ------------------------------------------------------------
-
-    def _owned(self, context: RequestContext, job_id: str) -> Job:
-        """Tenant isolation: someone else's job looks exactly like no job."""
-        job = self.scheduler.job(job_id)
-        if job.tenant_id != context.tenant_id:
-            raise NotFoundError(f"no compute job {job_id!r}")
-        return job
-
-    def _audit(self, context: RequestContext, job: Job, verb: str,
-               extra: str = "") -> None:
-        monitoring = self.scheduler.monitoring
-        if monitoring is None:
-            return
-        suffix = f" {extra}" if extra else ""
-        monitoring.log(
-            "audit",
-            f"compute job {job.job_id} {verb} by user "
-            f"{context.user.user_id} tenant {context.tenant_id} "
-            f"request {context.request_id}{suffix}")
+        self.audit(context, job_id, "cancellation requested")
+        return JobStatusResponse.from_job(self.scheduler.job(job_id)).to_body()

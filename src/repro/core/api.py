@@ -19,16 +19,20 @@ mapped to HTTP statuses by the single table in
 no per-branch response construction.  Routes are versioned
 (``/v1/...``); unversioned paths resolve against the default version.
 
-The legacy ``gateway.call(path, token, ...)`` signature survives as a
-deprecation shim over :meth:`dispatch`.
+Every capability surface (the platform's own routes, ``/v1/compute``,
+``/v1/subscriptions``, ``/v1/studies``) is an :class:`ApiSurface`: a
+table of :class:`Route` rows plus one tenant-ownership lookup and one
+audit-line format, registered by :meth:`ApiGateway.register_surface`.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
+import inspect
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
@@ -38,6 +42,7 @@ from ..core.errors import (
     DeadlineExceededError,
     NotFoundError,
     RateLimitError,
+    ValidationError,
     http_status_for,
 )
 from ..rbac.engine import RbacEngine
@@ -47,6 +52,9 @@ from ..rbac.model import Action, Scope, ScopeKind, User
 Handler = Callable[..., Any]
 
 DEFAULT_API_VERSION = "v1"
+
+# The one per-route rate window (seconds) every surface's limits count in.
+ROUTE_WINDOW_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,87 @@ class ApiResponse:
     request_id: str
 
 
+@dataclass(frozen=True)
+class Route:
+    """One row of a surface's route table.
+
+    ``owns`` names the request parameter carrying an id the caller's
+    tenant must own; ``rate_limit`` counts per tenant per
+    :data:`ROUTE_WINDOW_S` (None: only the gateway-wide limit applies).
+    """
+
+    path: str
+    handler: Handler
+    action: Action
+    resource_type: str
+    rate_limit: Optional[int]
+    description: str
+    owns: Optional[str] = None
+
+
+class ApiSurface:
+    """A tenant-scoped gateway surface: route table, owner lookup, audit.
+
+    Subclasses name the resource their ids refer to (``noun``), list
+    their :class:`Route` rows, and, when a route owns an id, say which
+    tenant owns it.  Tenant isolation is strict: another tenant's id
+    behaves exactly like a missing one (404), so ids cannot be probed
+    across tenants.
+    """
+
+    noun = ""
+    # The registering gateway's monitoring; audit lines go there.
+    monitoring: MonitoringService
+
+    def routes(self) -> Sequence[Route]:
+        raise NotImplementedError
+
+    def owner(self, resource_id: str) -> Optional[str]:
+        """The tenant owning ``resource_id`` (None or NotFoundError: none)."""
+        return None
+
+    def audit(self, context: RequestContext, resource_id: str, verb: str,
+              extra: str = "") -> None:
+        """One ``audit`` line threading the resource and request ids."""
+        suffix = f" {extra}" if extra else ""
+        self.monitoring.log(
+            "audit",
+            f"{self.noun} {resource_id} {verb} by user "
+            f"{context.user.user_id} tenant {context.tenant_id} "
+            f"request {context.request_id}{suffix}")
+
+
+def _owner_checked(surface: ApiSurface, param: str,
+                   handler: Handler) -> Handler:
+    """Wrap ``handler`` so another tenant's ``param`` id reads as 404."""
+    @functools.wraps(handler)
+    def owned(context: RequestContext, **params: Any) -> Any:
+        resource_id = params[param]
+        try:
+            tenant = surface.owner(resource_id)
+        except NotFoundError:
+            tenant = None
+        if tenant != context.tenant_id:
+            raise NotFoundError(f"no {surface.noun} {resource_id!r}")
+        return handler(context, **params)
+    return owned
+
+
+def _parameter_names(handler: Handler
+                     ) -> Tuple[Optional[FrozenSet[str]], FrozenSet[str]]:
+    """(accepted, required) request parameters of ``handler``.
+
+    The first parameter takes the :class:`RequestContext`; ``accepted``
+    is None when the handler takes ``**kwargs``.
+    """
+    parameters = list(inspect.signature(handler).parameters.values())[1:]
+    named = [p for p in parameters
+             if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    accepted = (None if any(p.kind is p.VAR_KEYWORD for p in parameters)
+                else frozenset(p.name for p in named))
+    return accepted, frozenset(p.name for p in named if p.default is p.empty)
+
+
 class ApiGateway:
     """Authenticating, authorizing, rate-limited, audited API front door."""
 
@@ -177,6 +266,8 @@ class ApiGateway:
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
         self._routes: Dict[str, RouteSpec] = {}   # keyed by versioned path
+        self._parameters: Dict[
+            str, Tuple[Optional[FrozenSet[str]], FrozenSet[str]]] = {}
         self._limiter = RateLimiter(rate_limit, rate_window_s, self.clock)
         self._route_limiters: Dict[str, RateLimiter] = {}
         self._meter = meter
@@ -188,12 +279,25 @@ class ApiGateway:
         if key in self._routes:
             raise ConfigurationError(f"route {key!r} already registered")
         self._routes[key] = route
+        self._parameters[key] = _parameter_names(route.handler)
         if route.rate_limit is not None:
             self._route_limiters[key] = RateLimiter(
                 route.rate_limit,
                 route.rate_window_s if route.rate_window_s is not None
                 else self._limiter.window_s,
                 self.clock)
+
+    def register_surface(self, surface: ApiSurface) -> None:
+        """Expose every row of a surface's route table, tenant-scoped."""
+        surface.monitoring = self.monitoring
+        for row in surface.routes():
+            self.register_route(RouteSpec(
+                path=row.path,
+                handler=(row.handler if row.owns is None
+                         else _owner_checked(surface, row.owns, row.handler)),
+                action=row.action, resource_type=row.resource_type,
+                scope_kind=ScopeKind.TENANT, description=row.description,
+                rate_limit=row.rate_limit, rate_window_s=ROUTE_WINDOW_S))
 
     def routes(self) -> List[str]:
         return sorted(self._routes)
@@ -285,6 +389,7 @@ class ApiGateway:
                                  request_id=request_id,
                                  deadline_s=request.deadline_s,
                                  trace=trace)
+        self._check_parameters(route, request.params)
         body = route.handler(context, **dict(request.params))
         self._check_deadline(request, "after handler")
         if self._meter is not None:
@@ -303,25 +408,23 @@ class ApiGateway:
             raise NotFoundError(f"no route {path}")
         return route
 
+    def _check_parameters(self, route: RouteSpec,
+                          params: Mapping[str, Any]) -> None:
+        """Unknown or missing parameters are the caller's error (422)."""
+        accepted, required = self._parameters[route.versioned_path]
+        names = params.keys()
+        if accepted is not None and not names <= accepted:
+            raise ValidationError(
+                f"{route.path} takes no parameter(s) "
+                f"{sorted(names - accepted)}")
+        if not required <= names:
+            raise ValidationError(
+                f"{route.path} requires parameter(s) "
+                f"{sorted(required - names)}")
+
     def _check_deadline(self, request: ApiRequest, when: str) -> None:
         if (request.deadline_s is not None
                 and self.clock.now > request.deadline_s):
             raise DeadlineExceededError(
                 f"deadline {request.deadline_s:.3f}s passed {when} "
                 f"(now {self.clock.now:.3f}s)")
-
-    # -- legacy surface ------------------------------------------------------
-
-    def call(self, path: str, token: IdentityToken, *,
-             scope_entity_id: str, org_id: str, env_id: str,
-             deadline_s: Optional[float] = None,
-             **kwargs: Any) -> ApiResponse:
-        """Deprecated: build an :class:`ApiRequest` and use :meth:`dispatch`."""
-        warnings.warn(
-            "ApiGateway.call(path, token, ...) is deprecated; build an "
-            "ApiRequest and use ApiGateway.dispatch(request)",
-            DeprecationWarning, stacklevel=2)
-        return self.dispatch(ApiRequest(
-            path=path, token=token, scope_entity_id=scope_entity_id,
-            org_id=org_id, env_id=env_id, params=kwargs,
-            deadline_s=deadline_s))

@@ -16,7 +16,7 @@ of custom services ... is created."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..analytics.lifecycle import ModelRegistry
 from ..blockchain import BlockchainNetwork, standard_network
@@ -28,6 +28,7 @@ from ..compliance.gdpr import GdprService
 from ..compliance.hipaa import HipaaControlRegistry
 from ..crypto.kms import KeyManagementService
 from ..crypto.symmetric import generate_key
+from .api import ApiGateway, ApiSurface, RequestContext, Route
 from .metering import MeteringService
 from .reports import ReportService
 from ..ingestion.datalake import DataLake
@@ -38,7 +39,7 @@ from ..privacy.deidentify import Deidentifier
 from ..privacy.verification import AnonymizationVerificationService
 from ..rbac.engine import RbacEngine
 from ..rbac.federation import FederatedIdentityService
-from ..rbac.model import Environment, Organization, Tenant
+from ..rbac.model import Action, Environment, Organization, Tenant
 
 
 @dataclass
@@ -146,15 +147,11 @@ class HealthCloudPlatform:
     # -- API surface (Section II-B "API and API management") --------------------
 
     def build_api_gateway(self, rate_limit: int = 1000, compute=None,
-                          subscriptions=None, studies=None):
+                          subscriptions=None, studies=None) -> ApiGateway:
         """Expose the platform's standard capabilities behind the gateway.
 
-        Routes require a tenant-scoped permission on their resource type:
-        ``platform-status`` (read), ``reports`` (read), ``billing`` (read).
-        Handlers receive the request's
-        :class:`~repro.core.api.RequestContext` plus its parameters.
-
-        Pass a :class:`~repro.compute.ComputeApi` as ``compute`` to also
+        The platform's own routes are :class:`PlatformApi`'s.  Pass a
+        :class:`~repro.compute.ComputeApi` as ``compute`` to also
         expose the versioned ``/v1/compute`` job routes (submit/status/
         result/cancel, guarded by WRITE/READ on ``compute-jobs``), and a
         :class:`~repro.streaming.SubscriptionApi` as ``subscriptions``
@@ -164,47 +161,14 @@ class HealthCloudPlatform:
         ``/v1/studies`` federated-study lifecycle (propose/approve/deny/
         run/status/result on ``studies``).
         """
-        from ..rbac.model import Action, ScopeKind
-        from .api import ApiGateway, RouteSpec
-
         gateway = ApiGateway(
             self.rbac, self.federation, monitoring=self.monitoring,
             clock=self.clock, rate_limit=rate_limit,
             meter=lambda tenant_id, path: self.metering.record(
                 tenant_id, "api.call"))
-        gateway.register_route(RouteSpec(
-            path="/ingestion/status",
-            handler=lambda context, job_id: {
-                "status": self.ingestion.status(job_id)[0].value,
-                "reason": self.ingestion.status(job_id)[1]},
-            action=Action.READ, resource_type="platform-status",
-            scope_kind=ScopeKind.TENANT,
-            description="poll an ingestion job's status URL"))
-        gateway.register_route(RouteSpec(
-            path="/reports/operations",
-            handler=lambda context: self.reports.operations_report().body,
-            action=Action.READ, resource_type="reports",
-            scope_kind=ScopeKind.TENANT,
-            description="operations dashboard"))
-        gateway.register_route(RouteSpec(
-            path="/reports/compliance",
-            handler=lambda context: self.reports.compliance_report().body,
-            action=Action.READ, resource_type="reports",
-            scope_kind=ScopeKind.TENANT,
-            description="compliance dashboard"))
-        gateway.register_route(RouteSpec(
-            path="/billing",
-            handler=lambda context: self.reports.billing_report(
-                context.tenant_id).body,
-            action=Action.READ, resource_type="billing",
-            scope_kind=ScopeKind.TENANT,
-            description="current-period invoice"))
-        if compute is not None:
-            compute.register_routes(gateway)
-        if subscriptions is not None:
-            subscriptions.register_routes(gateway)
-        if studies is not None:
-            studies.register_routes(gateway)
+        for surface in (PlatformApi(self), compute, subscriptions, studies):
+            if surface is not None:
+                gateway.register_surface(surface)
         return gateway
 
     # -- compliance wiring -----------------------------------------------------------
@@ -226,3 +190,47 @@ class HealthCloudPlatform:
         }
         for control_id, component in implemented.items():
             self.controls.mark_implemented(control_id, component)
+
+
+class PlatformApi(ApiSurface):
+    """The platform's own routes: ingestion status, dashboards, billing.
+
+    Routes require a tenant-scoped READ on their resource type:
+    ``platform-status``, ``reports`` or ``billing``.  An ingestion job
+    belongs to the tenant of its consent group, so another tenant's job
+    id reads as a missing one.
+    """
+
+    noun = "ingestion job"
+
+    def __init__(self, platform: HealthCloudPlatform) -> None:
+        self.platform = platform
+
+    def routes(self) -> Tuple[Route, ...]:
+        reports = self.platform.reports
+        return (
+            Route("/ingestion/status", self.ingestion_status, Action.READ,
+                  "platform-status", None,
+                  "poll an ingestion job's status URL", owns="job_id"),
+            Route("/reports/operations",
+                  lambda context: reports.operations_report().body,
+                  Action.READ, "reports", None, "operations dashboard"),
+            Route("/reports/compliance",
+                  lambda context: reports.compliance_report().body,
+                  Action.READ, "reports", None, "compliance dashboard"),
+            Route("/billing",
+                  lambda context: reports.billing_report(
+                      context.tenant_id).body,
+                  Action.READ, "billing", None, "current-period invoice"),
+        )
+
+    def owner(self, job_id: str) -> Optional[str]:
+        group = self.platform.rbac.groups.get(
+            self.platform.ingestion.job(job_id).group_id)
+        return group.tenant_id if group is not None else None
+
+    def ingestion_status(self, context: RequestContext,
+                         job_id: str) -> Dict[str, Any]:
+        status, reason = self.platform.ingestion.status(job_id)
+        self.audit(context, job_id, "status read")
+        return {"status": status.value, "reason": reason}

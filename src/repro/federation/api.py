@@ -5,7 +5,8 @@ through :meth:`~repro.core.api.ApiGateway.dispatch`, so federated
 authentication, per-route rate limits, RBAC (WRITE on ``studies`` to
 propose/approve/run, READ to poll), metering, and audit logging all apply
 before any study state changes.  Tenant isolation is strict: another
-tenant's study id behaves exactly like a missing one (404).
+tenant's study id behaves exactly like a missing one (404), as on every
+:class:`~repro.core.api.ApiSurface`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.api import ApiGateway, RequestContext, RouteSpec
-from ..core.errors import NotFoundError, ValidationError
-from ..rbac.model import Action, ScopeKind
+from ..core.api import ROUTE_WINDOW_S, ApiSurface, RequestContext, Route
+from ..core.errors import ValidationError
+from ..rbac.model import Action
 from .study import ANALYSES, FederatedStudyService
 
 # The resource type the /v1/studies routes guard.
@@ -28,7 +29,7 @@ DECIDE_RATE_LIMIT = 60
 RUN_RATE_LIMIT = 10
 STATUS_RATE_LIMIT = 240
 RESULT_RATE_LIMIT = 60
-RATE_WINDOW_S = 60.0
+RATE_WINDOW_S = ROUTE_WINDOW_S
 
 
 @dataclass(frozen=True)
@@ -60,51 +61,41 @@ class StudyProposalRequest:
                 f"1..{len(participants)}")
 
 
-class StudiesApi:
-    """Registers the ``/v1/studies`` routes against one study service."""
+class StudiesApi(ApiSurface):
+    """The ``/v1/studies`` routes against one study service."""
+
+    noun = "study"
 
     def __init__(self, service: FederatedStudyService) -> None:
         self.service = service
 
-    # -- wiring ---------------------------------------------------------------
+    def routes(self) -> Tuple[Route, ...]:
+        return (
+            Route("/studies/propose", self.propose, Action.WRITE,
+                  STUDIES_RESOURCE, PROPOSE_RATE_LIMIT,
+                  "propose a federated study (M-of-N approval)"),
+            Route("/studies/approve", self.approve, Action.WRITE,
+                  STUDIES_RESOURCE, DECIDE_RATE_LIMIT,
+                  "record one institution's approval", owns="study_id"),
+            Route("/studies/deny", self.deny, Action.WRITE,
+                  STUDIES_RESOURCE, DECIDE_RATE_LIMIT,
+                  "record one institution's veto", owns="study_id"),
+            Route("/studies/run", self.run, Action.WRITE,
+                  STUDIES_RESOURCE, RUN_RATE_LIMIT,
+                  "run an approved study's federated analysis",
+                  owns="study_id"),
+            Route("/studies/status", self.status, Action.READ,
+                  STUDIES_RESOURCE, STATUS_RATE_LIMIT,
+                  "poll a study's lifecycle state and approvals",
+                  owns="study_id"),
+            Route("/studies/result", self.result, Action.READ,
+                  STUDIES_RESOURCE, RESULT_RATE_LIMIT,
+                  "fetch a completed study's aggregate result",
+                  owns="study_id"),
+        )
 
-    def register_routes(self, gateway: ApiGateway) -> None:
-        gateway.register_route(RouteSpec(
-            path="/studies/propose", handler=self.propose,
-            action=Action.WRITE, resource_type=STUDIES_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="propose a federated study (M-of-N approval)",
-            rate_limit=PROPOSE_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/studies/approve", handler=self.approve,
-            action=Action.WRITE, resource_type=STUDIES_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="record one institution's approval",
-            rate_limit=DECIDE_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/studies/deny", handler=self.deny,
-            action=Action.WRITE, resource_type=STUDIES_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="record one institution's veto",
-            rate_limit=DECIDE_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/studies/run", handler=self.run,
-            action=Action.WRITE, resource_type=STUDIES_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="run an approved study's federated analysis",
-            rate_limit=RUN_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/studies/status", handler=self.status,
-            action=Action.READ, resource_type=STUDIES_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="poll a study's lifecycle state and approvals",
-            rate_limit=STATUS_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/studies/result", handler=self.result,
-            action=Action.READ, resource_type=STUDIES_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="fetch a completed study's aggregate result",
-            rate_limit=RESULT_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
+    def owner(self, study_id: str) -> Optional[str]:
+        return self.service.study_tenant(study_id)
 
     # -- handlers -------------------------------------------------------------
 
@@ -120,48 +111,43 @@ class StudiesApi:
             analysis=request.analysis, group_id=request.group_id,
             participants=list(request.participants),
             threshold=request.threshold)
-        self._audit(context, opened["study_id"], "proposed",
-                    extra=f"analysis={request.analysis} "
-                          f"threshold={request.threshold}-of-"
-                          f"{len(request.participants)}")
+        self.audit(context, opened["study_id"], "proposed",
+                   extra=f"analysis={request.analysis} "
+                         f"threshold={request.threshold}-of-"
+                         f"{len(request.participants)}")
         return self.service.status(opened["study_id"])
 
     def approve(self, context: RequestContext, study_id: str,
                 institution: str) -> Dict[str, Any]:
-        self._owned(context, study_id)
         state = self.service.approve(study_id, institution)
-        self._audit(context, study_id, "approval recorded",
-                    extra=f"institution={institution} state={state}")
+        self.audit(context, study_id, "approval recorded",
+                   extra=f"institution={institution} state={state}")
         return self.service.status(study_id)
 
     def deny(self, context: RequestContext, study_id: str,
              institution: str) -> Dict[str, Any]:
-        self._owned(context, study_id)
         self.service.deny(study_id, institution)
-        self._audit(context, study_id, "denial recorded",
-                    extra=f"institution={institution}")
+        self.audit(context, study_id, "denial recorded",
+                   extra=f"institution={institution}")
         return self.service.status(study_id)
 
     def run(self, context: RequestContext, study_id: str) -> Dict[str, Any]:
-        self._owned(context, study_id)
         summary = self.service.run(study_id)
-        self._audit(context, study_id, "run",
-                    extra=f"rounds={summary['rounds']} "
-                          f"digest={summary['result_digest'][:16]}")
+        self.audit(context, study_id, "run",
+                   extra=f"rounds={summary['rounds']} "
+                         f"digest={summary['result_digest'][:16]}")
         return summary
 
     def status(self, context: RequestContext,
                study_id: str) -> Dict[str, Any]:
-        self._owned(context, study_id)
-        self._audit(context, study_id, "status read")
+        self.audit(context, study_id, "status read")
         return self.service.status(study_id)
 
     def result(self, context: RequestContext,
                study_id: str) -> Dict[str, Any]:
-        self._owned(context, study_id)
         local = self.service._known(study_id)
         fitted = self.service.result_object(study_id)
-        self._audit(context, study_id, "result read")
+        self.audit(context, study_id, "result read")
         if local["analysis"] == "jmf":
             body = {
                 "analysis": "jmf",
@@ -181,23 +167,3 @@ class StudiesApi:
             }
         body["study_id"] = study_id
         return body
-
-    # -- internals ------------------------------------------------------------
-
-    def _owned(self, context: RequestContext, study_id: str) -> None:
-        """Tenant isolation: someone else's study looks like no study."""
-        tenant = self.service.study_tenant(study_id)
-        if tenant is None or tenant != context.tenant_id:
-            raise NotFoundError(f"no study {study_id!r}")
-
-    def _audit(self, context: RequestContext, study_id: str, verb: str,
-               extra: str = "") -> None:
-        monitoring = self.service.monitoring
-        if monitoring is None:
-            return
-        suffix = f" {extra}" if extra else ""
-        monitoring.log(
-            "audit",
-            f"study {study_id} {verb} by user {context.user.user_id} "
-            f"tenant {context.tenant_id} request "
-            f"{context.request_id}{suffix}")

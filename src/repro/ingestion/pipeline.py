@@ -194,7 +194,7 @@ class IngestionService:
 
     def status(self, job_id: str) -> Tuple[IngestionStatus, str]:
         """What a GET on the status URL returns."""
-        job = self._job(job_id)
+        job = self.job(job_id)
         return job.status, job.reason
 
     # -- background worker -----------------------------------------------------------
@@ -412,7 +412,8 @@ class IngestionService:
             self.blockchain.submit("ingestion-service", chaincode, method,
                                    **args)
 
-    def _job(self, job_id: str) -> IngestionJob:
+    def job(self, job_id: str) -> IngestionJob:
+        """The job behind a status URL."""
         try:
             return self._jobs[job_id]
         except KeyError:

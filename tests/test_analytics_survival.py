@@ -103,6 +103,26 @@ class TestLogRank:
         with pytest.raises(ConfigurationError):
             log_rank_test([], [], [1.0], [True])
 
+    def test_p_values_pinned(self):
+        # Chi-square (1 df) tail probabilities as scipy.stats.chi2.sf
+        # reported them for these inputs, across ~20 orders of magnitude.
+        result = log_rank_test([1, 2, 3, 4, 5, 6], [1, 1, 0, 1, 1, 0],
+                               [2, 4, 6, 8, 10, 12], [1, 0, 1, 1, 0, 1])
+        assert result.chi_square == pytest.approx(2.1563776059983577,
+                                                  rel=1e-12)
+        assert result.p_value == pytest.approx(0.1419790519321984,
+                                               rel=1e-12)
+        for hazard_ratio, seed, chi_square, p_value in (
+                (1.0, 5, 3.492205456376835, 0.06165839016299332),
+                (0.8, 3, 22.4817649964637, 2.121479810224822e-06),
+                (0.5, 4, 68.95114858904839, 1.0093286042001084e-16),
+                (0.3, 6, 100.86282770911387, 9.857931375771248e-24)):
+            result = log_rank_test(*generate_survival_cohort(
+                hazard_ratio=hazard_ratio, seed=seed))
+            assert result.chi_square == pytest.approx(chi_square,
+                                                      rel=1e-12)
+            assert result.p_value == pytest.approx(p_value, rel=1e-12)
+
 
 class TestSurvivalCohort:
     def test_deterministic(self):

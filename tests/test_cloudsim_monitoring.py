@@ -1,8 +1,11 @@
 """Tests for the logging/monitoring service: scrubbing, chaining, metrics."""
 
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloudsim.clock import SimClock
 from repro.cloudsim.monitoring import (
@@ -29,6 +32,16 @@ class TestScrubbing:
     def test_clean_text_untouched(self):
         text = "job-000001 stored 3 records"
         assert scrub(text) == text
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789 -ab.@%[]\u0663\u0968", max_size=40))
+    def test_guarded_scrub_matches_applying_every_pattern(self, text):
+        reference = text
+        for pattern in (r"\b\d{3}-\d{2}-\d{4}\b",
+                        r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}\b",
+                        r"\b(?:\d[ -]*?){13,16}\b"):
+            reference = re.sub(pattern, "[REDACTED]", reference)
+        assert scrub(text) == reference
 
     def test_attributes_scrubbed_on_append(self):
         store = LogStore()

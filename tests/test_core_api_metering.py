@@ -128,16 +128,6 @@ class TestApiGateway:
                 "/records/list", lambda context: None, Action.READ,
                 "records", ScopeKind.ORGANIZATION))
 
-    def test_legacy_call_shim_deprecated_but_working(self, api_world):
-        gateway, idp, org, env, _, _ = api_world
-        token = idp.issue_token("alice@acme")
-        with pytest.warns(DeprecationWarning):
-            response = gateway.call(
-                "/records/list", token, scope_entity_id=org.org_id,
-                org_id=org.org_id, env_id=env.env_id)
-        assert response.status == 200
-        assert response.body["records"] == ["r1", "r2"]
-
 
 class TestRateLimiter:
     def test_window_semantics(self):

@@ -96,6 +96,26 @@ class TestEnvelope:
         response = gateway.dispatch(_request(idp, org, env, path="/none"))
         assert response.request_id == "req-00000004"
 
+    def test_parameter_errors_are_422_handler_faults_500(self, world):
+        gateway, idp, org, env = world
+        gateway.register_route(RouteSpec(
+            path="/typed", handler=lambda context, n, unit="mg": n + unit,
+            action=Action.READ, resource_type="records",
+            scope_kind=ScopeKind.ORGANIZATION))
+
+        def status(params):
+            return gateway.dispatch(_request(
+                idp, org, env, path="/typed", params=params)).status
+
+        assert status({"n": "5", "unit": "g"}) == 200
+        assert status({"m": "5"}) == 422          # unknown name
+        assert status({}) == 422                  # missing required name
+        assert status({"n": 5}) == 500            # TypeError inside handler
+        # A handler taking **kwargs accepts any names.
+        assert status({"n": "5", "zz": 1}) == 422
+        assert gateway.dispatch(_request(
+            idp, org, env, params={"zz": 1})).status == 200
+
     def test_handler_receives_context(self, world):
         gateway, idp, org, env = world
         response = gateway.dispatch(_request(idp, org, env))

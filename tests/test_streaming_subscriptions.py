@@ -102,7 +102,7 @@ def world():
     platform = HealthCloudPlatform(seed=91, use_blockchain=False)
     registry = SubscriptionRegistry(
         EventBus(platform.clock, monitoring=platform.monitoring))
-    api = SubscriptionApi(registry, monitoring=platform.monitoring)
+    api = SubscriptionApi(registry)
     gateway = platform.build_api_gateway(subscriptions=api)
 
     idp = ExternalIdentityProvider("lab-idp", b"lab-key-0123456789",
