@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import LedgerError
-from ..crypto.merkle import IncrementalMerkleTree, MerkleTree
+from ..crypto.merkle import (
+    IncrementalMerkleTree,
+    MerklePath,
+    MerkleTree,
+    path_root,
+)
 
 
 @dataclass(frozen=True)
@@ -30,9 +35,12 @@ class Transaction:
     submitter: str
     timestamp: float
     endorsements: Tuple[Tuple[str, bytes], ...] = ()  # (member_id, signature)
+    # Inclusion path of this payload under the root each endorser signed,
+    # aligned with ``endorsements``; a missing path is the empty path.
+    endorsement_paths: Tuple[MerklePath, ...] = ()
 
     def payload(self) -> bytes:
-        """Canonical bytes that endorsers sign and blocks commit."""
+        """Canonical bytes that blocks commit and endorsement roots cover."""
         return json.dumps(
             {"tx": self.tx_id, "cc": self.chaincode, "method": self.method,
              "args": self.args, "submitter": self.submitter,
@@ -40,10 +48,37 @@ class Transaction:
             sort_keys=True, separators=(",", ":")).encode()
 
     def with_endorsements(
-            self, endorsements: Iterable[Tuple[str, bytes]]) -> "Transaction":
+            self, endorsements: Iterable[Tuple[str, bytes]],
+            paths: Iterable[MerklePath] = ()) -> "Transaction":
         return Transaction(self.tx_id, self.chaincode, self.method,
                            dict(self.args), self.submitter, self.timestamp,
-                           tuple(endorsements))
+                           tuple(endorsements), tuple(paths))
+
+    def endorsement_claims(self) -> List[Tuple[str, bytes, bytes]]:
+        """``(member_id, signed message, signature)`` per endorsement.
+
+        Each message is rebuilt from this transaction's own payload and
+        the endorsement's inclusion path, so a signature verifies only
+        for a payload under the root its endorser signed.
+        """
+        leaf = self.payload()
+        paths = self.endorsement_paths
+        roots: Dict[MerklePath, bytes] = {}
+        claims = []
+        for index, (member_id, signature) in enumerate(self.endorsements):
+            path = paths[index] if index < len(paths) else ()
+            if path not in roots:
+                roots[path] = endorsement_message(path_root(leaf, path))
+            claims.append((member_id, roots[path], signature))
+        return claims
+
+
+ENDORSEMENT_DOMAIN = b"endorse-root:"
+
+
+def endorsement_message(root: bytes) -> bytes:
+    """What an endorsing peer signs: its batch root, domain-separated."""
+    return ENDORSEMENT_DOMAIN + root
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ blockchain network we are talking of is a permissioned blockchain system
 such as Hyperledger"):
 
 1. a client submits a proposal;
-2. **endorsing peers** simulate the chaincode and sign the result;
+2. **endorsing peers** simulate the chaincode and sign the result —
+   one signature per peer per batch, over a Merkle root of the batch's
+   payloads, with each transaction carrying its inclusion path;
 3. the proposal must satisfy the channel's **endorsement policy**
-   (at least N signatures from distinct organizations);
+   (at least N distinct endorsing peers from M distinct organizations);
 4. the **ordering service** batches endorsed transactions into blocks;
 5. every peer validates the block (endorsement re-check) and **commits**
    it to its ledger and world state.
@@ -20,15 +22,25 @@ the global ledger."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import EndorsementError, LedgerError, ServiceUnavailableError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
+from ..crypto.merkle import MerklePath, MerkleTree
 from .chaincode import Chaincode, WorldState
 from .identity import MembershipServiceProvider
-from .ledger import Block, Ledger, Transaction, build_block
+from .ledger import (
+    Block,
+    Ledger,
+    Transaction,
+    build_block,
+    endorsement_message,
+)
+
+# One endorsement as a peer hands it out: who, signature, inclusion path.
+Endorsement = Tuple[str, bytes, MerklePath]
 
 
 @dataclass(frozen=True)
@@ -39,8 +51,25 @@ class EndorsementPolicy:
     min_organizations: int = 2
 
     def satisfied_by(self, endorsing_orgs: List[str]) -> bool:
+        """``endorsing_orgs`` holds one organization per distinct endorser
+        (see :func:`endorsing_orgs`)."""
         return (len(endorsing_orgs) >= self.min_endorsements
                 and len(set(endorsing_orgs)) >= self.min_organizations)
+
+
+def endorsing_orgs(msp: MembershipServiceProvider,
+                   member_ids: Iterable[str]) -> List[str]:
+    """One organization per distinct ``"peer"``-role member in ``member_ids``.
+
+    A member endorsing twice counts once, and a client's (or any other
+    non-peer's) signature never counts toward the policy.
+    """
+    orgs = []
+    for member_id in dict.fromkeys(member_ids):
+        identity = msp.identity(member_id)
+        if "peer" in identity.roles:
+            orgs.append(identity.organization)
+    return orgs
 
 
 class Peer:
@@ -70,50 +99,73 @@ class Peer:
         scratch = _CopyOnWriteState(self.state)
         return chaincode.invoke(scratch, tx.method, tx.args)
 
-    def endorse(self, tx: Transaction) -> Tuple[str, bytes]:
-        """Simulate then sign the transaction payload."""
+    def check_proposal(self, tx: Transaction) -> None:
+        """Endorsement-time check of one proposal; raises if it fails.
+
+        A peer that is down (a FaultPlan crash window) refuses outright;
+        otherwise the chaincode is simulated and must not raise.
+        """
         if self.fault_plan is not None and self.fault_plan.node_down(
                 self.peer_id):
             raise ServiceUnavailableError(f"peer {self.peer_id} is down")
         self.simulate(tx)
-        signature = self._msp.sign_as(self.peer_id, tx.payload())
-        return (self.peer_id, signature)
+
+    def endorse(self, txs: List[Transaction]) -> List[Endorsement]:
+        """Sign one Merkle root over proposals this peer has checked.
+
+        The peer builds a tree over the payloads and signs
+        ``endorsement_message(root)`` once; every transaction gets a copy
+        of that signature with its own inclusion path, in order.  A
+        one-transaction batch has an empty path.
+        """
+        tree = MerkleTree([tx.payload() for tx in txs])
+        signature = self._msp.sign_as(self.peer_id,
+                                      endorsement_message(tree.root))
+        return [(self.peer_id, signature, proof.path)
+                for proof in tree.proofs()]
 
     def validate(self, tx: Transaction, policy: EndorsementPolicy) -> bool:
-        """Commit-time validation of a transaction's endorsements."""
-        orgs: List[str] = []
-        for member_id, signature in tx.endorsements:
-            if not self._msp.verify(member_id, tx.payload(), signature):
-                return False
-            orgs.append(self._msp.identity(member_id).organization)
-        return policy.satisfied_by(orgs)
+        """Commit-time validation of one transaction's endorsements."""
+        return (self._verify_block_endorsements([tx], batch_verify=False)[0]
+                and policy.satisfied_by(self._endorsing_orgs(tx)))
 
-    def _verify_block_endorsements(self, block: Block) -> List[bool]:
-        """Per-transaction signature validity via batch RSA screening.
+    def _endorsing_orgs(self, tx: Transaction) -> List[str]:
+        return endorsing_orgs(
+            self._msp, (member_id for member_id, _ in tx.endorsements))
 
-        Endorsement signatures are grouped by endorsing member (one
-        public key per group) and each group is verified with one
-        aggregate screening exponentiation across the whole block; a
-        failing group falls back to per-signature verification inside
-        ``MembershipServiceProvider.verify_batch``, so verdicts match the
-        per-signature path exactly.  Returns, per transaction, whether
-        *every* endorsement on it verified.
+    def _verify_block_endorsements(self, transactions: Sequence[Transaction],
+                                   batch_verify: bool = True) -> List[bool]:
+        """Per-transaction signature validity, each signature checked once.
+
+        Every endorsement's signed message is rebuilt from the
+        transaction's own payload and inclusion path.  Endorsements of one
+        batch share a ``(member, root message, signature)`` entry, so the
+        entries are deduplicated, each unique one is verified once, and
+        its verdict is fanned out to every transaction carrying it.  With
+        ``batch_verify`` each endorser's unique entries go through one
+        screening-style aggregate check
+        (``MembershipServiceProvider.verify_batch``, which falls back to
+        per-signature verification on failure, so verdicts match the
+        per-signature path exactly); without it each is verified on its
+        own.  Returns, per transaction, whether *every* endorsement on it
+        verified.
         """
-        groups: Dict[str, List[Tuple[int, bytes, bytes]]] = {}
-        for index, tx in enumerate(block.transactions):
-            payload = tx.payload()
-            for member_id, signature in tx.endorsements:
-                groups.setdefault(member_id, []).append(
-                    (index, payload, signature))
-        valid = [True] * len(block.transactions)
-        for member_id, entries in groups.items():
-            verdicts = self._msp.verify_batch(
-                member_id, [(payload, signature)
-                            for _, payload, signature in entries])
-            for (index, _, _), ok in zip(entries, verdicts):
-                if not ok:
-                    valid[index] = False
-        return valid
+        claims = [tx.endorsement_claims() for tx in transactions]
+        groups: Dict[str, List[Tuple[bytes, bytes]]] = {}
+        for member_id, message, signature in dict.fromkeys(
+                claim for tx_claims in claims for claim in tx_claims):
+            groups.setdefault(member_id, []).append((message, signature))
+        verdicts: Dict[Tuple[str, bytes, bytes], bool] = {}
+        for member_id, pairs in groups.items():
+            if batch_verify:
+                oks = self._msp.verify_batch(member_id, pairs)
+            else:
+                oks = [self._msp.verify(member_id, message, signature)
+                       for message, signature in pairs]
+            for (message, signature), ok in zip(pairs, oks):
+                verdicts[(member_id, message, signature)] = ok
+        return [all(verdicts[claim] for claim in tx_claims)
+                for tx_claims in claims]
 
     def commit_block(self, block: Block, policy: EndorsementPolicy,
                      degraded_tx_ids: frozenset = frozenset(),
@@ -126,27 +178,21 @@ class Peer:
         reduced policy they were admitted with.  With ``batch_verify``
         (the default) endorsement signatures are checked with screening-
         style aggregate RSA verification per endorser; semantics are
-        identical to per-signature validation.  Returns the number of
+        identical to per-signature validation.  Either way a policy counts
+        distinct ``"peer"``-role endorsers only.  Returns the number of
         transactions applied (invalid ones are marked-and-skipped, as in
         Fabric's validation flag model).
         """
         applied = 0
-        signatures_ok = (self._verify_block_endorsements(block)
-                         if batch_verify else None)
-        for index, tx in enumerate(block.transactions):
+        signatures_ok = self._verify_block_endorsements(block.transactions,
+                                                        batch_verify)
+        for tx, signed in zip(block.transactions, signatures_ok):
             effective = (degraded_policy
                          if degraded_policy is not None
                          and tx.tx_id in degraded_tx_ids else policy)
-            if signatures_ok is None:
-                if not self.validate(tx, effective):
-                    continue
-            else:
-                if not signatures_ok[index]:
-                    continue
-                orgs = [self._msp.identity(member_id).organization
-                        for member_id, _ in tx.endorsements]
-                if not effective.satisfied_by(orgs):
-                    continue
+            if not (signed
+                    and effective.satisfied_by(self._endorsing_orgs(tx))):
+                continue
             try:
                 chaincode = self._chaincode(tx.chaincode)
                 chaincode.invoke(self.state, tx.method, tx.args)
@@ -165,7 +211,8 @@ class Peer:
 
     def sync_from(self, other: "Peer", policy: EndorsementPolicy,
                   degraded_tx_ids: frozenset = frozenset(),
-                  degraded_policy: Optional[EndorsementPolicy] = None) -> int:
+                  degraded_policy: Optional[EndorsementPolicy] = None,
+                  batch_verify: bool = True) -> int:
         """Catch up from another peer's ledger (late join / recovery).
 
         Fetches every block past this peer's tip, re-validating each via
@@ -182,7 +229,8 @@ class Peer:
             block = other.ledger.block(self.ledger.height)
             self.commit_block(block, policy,
                               degraded_tx_ids=degraded_tx_ids,
-                              degraded_policy=degraded_policy)
+                              degraded_policy=degraded_policy,
+                              batch_verify=batch_verify)
             applied += 1
         return applied
 
@@ -330,72 +378,46 @@ class BlockchainNetwork:
                **args: Any) -> Transaction:
         """Full transaction flow up to ordering; returns the endorsed txn.
 
-        Raises :class:`EndorsementError` when the policy cannot be met.
+        Endorsement is that of :meth:`submit_batch` for a batch of one
+        (one-leaf roots, empty inclusion paths), except that the
+        ``ENDORSE_LATENCY`` trip is paid per peer that endorsed.  Raises
+        :class:`EndorsementError` when the policy cannot be met.
         """
         tx = self._new_transaction(submitter, chaincode, method, args)
         with maybe_span(self.tracer, "blockchain.endorse", "blockchain",
                         tx=tx.tx_id, chaincode=chaincode,
                         method=method, **self.span_tags) as span:
-            endorsements: List[Tuple[str, bytes]] = []
-            orgs: List[str] = []
-            for peer in self.endorsing_peers():
-                try:
-                    endorsements.append(self._endorse(peer, tx))
-                    orgs.append(peer.organization)
-                    self._charge("endorse", self.ENDORSE_LATENCY)
-                except Exception as exc:
-                    # A failing endorser just doesn't sign — but degraded
-                    # endorsement must be visible to operators and benches.
-                    self._endorsement_failed(peer, tx, exc)
-                    span.add_event("endorsement_failed", self.clock.now,
-                                   peer=peer.peer_id)
-            span.set_attribute("endorsements", len(endorsements))
-            self._require_quorum(tx, endorsements, orgs)
-            endorsed = tx.with_endorsements(endorsements)
-            self.orderer.submit(endorsed)
-            return endorsed
+            endorsements = self._collect_endorsements([tx], span,
+                                                      batched=False)
+            span.set_attribute("endorsements", len(endorsements[0]))
+            return self._order([tx], endorsements, batched=False)[0]
 
     def submit_batch(self, submitter: str,
                      requests: Iterable[Tuple[str, str, Dict[str, Any]]]
                      ) -> List[Transaction]:
-        """Endorse a batch of proposals with one round-trip per peer.
+        """Endorse a batch of proposals with one signature per peer.
 
         ``requests`` is a sequence of ``(chaincode, method, args)``
-        proposals.  Where :meth:`submit` pays one endorsement round-trip
-        per transaction per peer, this amortizes the trip: each endorsing
-        peer signs the whole batch in a single visit (``ENDORSE_LATENCY``
-        advances once per peer, not once per transaction per peer).  The
-        endorsement signatures themselves are still per transaction, so
-        validation semantics are unchanged.  Raises
-        :class:`EndorsementError` if any transaction in the batch cannot
-        meet the policy; nothing is ordered in that case.
+        proposals.  Each endorsing peer is visited once
+        (``ENDORSE_LATENCY`` advances once per peer, not once per
+        transaction per peer) and simulates every proposal; it then signs
+        a single Merkle root over the payloads it endorsed, and each of
+        those transactions carries that signature plus its own inclusion
+        path.  Validation rebuilds the root from each transaction's own
+        payload, so every transaction stays independently verifiable.
+        Raises :class:`EndorsementError` if any transaction in the batch
+        cannot meet the policy; nothing is ordered in that case.
         """
         txs = [self._new_transaction(submitter, chaincode, method, args)
                for chaincode, method, args in requests]
         if not txs:
             return []
-        endorsements: List[List[Tuple[str, bytes]]] = [[] for _ in txs]
-        orgs: List[List[str]] = [[] for _ in txs]
         with maybe_span(self.tracer, "blockchain.endorse_batch",
                         "blockchain", transactions=len(txs),
                         **self.span_tags) as span:
-            for peer in self.endorsing_peers():
-                self._charge("endorse", self.ENDORSE_LATENCY)  # 1 trip/peer
-                for i, tx in enumerate(txs):
-                    try:
-                        endorsements[i].append(self._endorse(peer, tx))
-                        orgs[i].append(peer.organization)
-                    except Exception as exc:
-                        self._endorsement_failed(peer, tx, exc)
-                        span.add_event("endorsement_failed", self.clock.now,
-                                       peer=peer.peer_id, tx=tx.tx_id)
-        endorsed_batch: List[Transaction] = []
-        for tx, tx_endorsements, tx_orgs in zip(txs, endorsements, orgs):
-            self._require_quorum(tx, tx_endorsements, tx_orgs, in_batch=True)
-            endorsed_batch.append(tx.with_endorsements(tx_endorsements))
-        for endorsed in endorsed_batch:
-            self.orderer.submit(endorsed)
-        return endorsed_batch
+            endorsements = self._collect_endorsements(txs, span,
+                                                      batched=True)
+        return self._order(txs, endorsements, batched=True)
 
     def _new_transaction(self, submitter: str, chaincode: str, method: str,
                          args: Dict[str, Any]) -> Transaction:
@@ -409,29 +431,85 @@ class BlockchainNetwork:
             timestamp=self.clock.now,
         )
 
-    def _endorse(self, peer: Peer, tx: Transaction) -> Tuple[str, bytes]:
-        """One peer's endorsement, retried under the resilience executor.
+    def _collect_endorsements(self, txs: List[Transaction], span: Any,
+                              batched: bool) -> List[List[Endorsement]]:
+        """Visit every endorsing peer; each signs one root over ``txs``.
 
-        Without an executor this is a bare ``peer.endorse``; with one, a
-        transiently failing peer is retried with backoff, and a peer that
-        keeps failing trips its ``peer.<id>`` breaker so later proposals
-        stop waiting on it until the half-open probe succeeds.
+        A peer endorses the proposals that pass its check (retried per
+        proposal, see :meth:`_check`); a proposal failing there gets no
+        endorsement from that peer, and the root covers only the rest.
+        A batched visit pays ``ENDORSE_LATENCY`` up front whatever the
+        outcome; an unbatched one pays it only when the peer endorsed.
+        Returns the endorsements of each transaction, in order.
+        """
+        endorsements: List[List[Endorsement]] = [[] for _ in txs]
+        for peer in self.endorsing_peers():
+            if batched:
+                self._charge("endorse", self.ENDORSE_LATENCY)  # 1 trip/peer
+            accepted: List[int] = []
+            for index, tx in enumerate(txs):
+                try:
+                    self._check(peer, tx)
+                    accepted.append(index)
+                except Exception as exc:
+                    # A failing endorser just doesn't sign — but degraded
+                    # endorsement must be visible to operators and benches.
+                    self._endorsement_failed(peer, tx, exc)
+                    span.add_event("endorsement_failed", self.clock.now,
+                                   peer=peer.peer_id, tx=tx.tx_id)
+            if not accepted:
+                continue
+            signed = peer.endorse([txs[index] for index in accepted])
+            for index, endorsement in zip(accepted, signed):
+                endorsements[index].append(endorsement)
+            if not batched:
+                self._charge("endorse", self.ENDORSE_LATENCY)
+        return endorsements
+
+    def _check(self, peer: Peer, tx: Transaction) -> None:
+        """One peer's proposal check, retried under the resilience executor.
+
+        Without an executor this is a bare ``peer.check_proposal``; with
+        one, a transiently failing peer is retried with backoff, and a peer
+        that keeps failing trips its ``peer.<id>`` breaker so later
+        proposals stop waiting on it until the half-open probe succeeds.
         """
         if self.resilience is None:
-            return peer.endorse(tx)
-        return self.resilience.call(f"peer.{peer.peer_id}",
-                                    lambda: peer.endorse(tx))
+            peer.check_proposal(tx)
+        else:
+            self.resilience.call(f"peer.{peer.peer_id}",
+                                 lambda: peer.check_proposal(tx))
 
-    def _require_quorum(self, tx: Transaction,
-                        endorsements: List[Tuple[str, bytes]],
-                        orgs: List[str], in_batch: bool = False) -> None:
+    def _order(self, txs: List[Transaction],
+               endorsements: List[List[Endorsement]],
+               batched: bool) -> List[Transaction]:
+        """Check every transaction's quorum, then hand all to the orderer."""
+        for tx, tx_endorsements in zip(txs, endorsements):
+            self._require_quorum(
+                tx, [member_id for member_id, _, _ in tx_endorsements],
+                in_batch=batched)
+        endorsed = [
+            tx.with_endorsements(
+                [(member_id, signature)
+                 for member_id, signature, _ in tx_endorsements],
+                [path for _, _, path in tx_endorsements])
+            for tx, tx_endorsements in zip(txs, endorsements)]
+        for tx in endorsed:
+            self.orderer.submit(tx)
+        return endorsed
+
+    def _require_quorum(self, tx: Transaction, endorsers: List[str],
+                        in_batch: bool = False) -> None:
         """Enforce the endorsement policy, degrading if configured.
 
-        When the full policy is unmet but ``degraded_policy`` is satisfied,
-        the transaction is admitted under the reduced quorum and an audit
-        mark is left: a WARN log entry, the ``blockchain.degraded_commits``
-        metric, and commit-time validation pinned to the reduced policy.
+        Counts distinct ``"peer"``-role endorsers, as commit-time
+        validation does.  When the full policy is unmet but
+        ``degraded_policy`` is satisfied, the transaction is admitted
+        under the reduced quorum and an audit mark is left: a WARN log
+        entry, the ``blockchain.degraded_commits`` metric, and commit-time
+        validation pinned to the reduced policy.
         """
+        orgs = endorsing_orgs(self.msp, endorsers)
         if self.policy.satisfied_by(orgs):
             return
         if (self.degraded_policy is not None
@@ -441,7 +519,7 @@ class BlockchainNetwork:
             self.monitoring.log(
                 "blockchain",
                 f"AUDIT: tx {tx.tx_id} accepted under DEGRADED quorum "
-                f"({len(endorsements)} endorsements from {sorted(set(orgs))}; "
+                f"({len(endorsers)} endorsements from {sorted(set(orgs))}; "
                 f"required {self.policy.min_endorsements}/"
                 f"{self.policy.min_organizations})",
                 level="WARN", tx=tx.tx_id, degraded=True)
@@ -449,7 +527,7 @@ class BlockchainNetwork:
         where = " in batch" if in_batch else ""
         raise EndorsementError(
             f"tx {tx.tx_id}: endorsement policy unmet{where} "
-            f"({len(endorsements)} endorsements from {set(orgs)})")
+            f"({len(endorsers)} endorsements from {set(orgs)})")
 
     def _endorsement_failed(self, peer: Peer, tx: Transaction,
                             exc: Exception) -> None:
@@ -506,15 +584,17 @@ class BlockchainNetwork:
     def sync_peer(self, peer: Peer) -> int:
         """Catch a lagging/late-joining peer up from the reference peer.
 
-        Threads the channel's degraded-transaction metadata through the
-        sync so the peer converges even when history contains
-        degraded-quorum commits.  Returns the number of blocks applied.
+        Threads the channel's degraded-transaction metadata (and its
+        ``batch_verify`` mode) through the sync so the peer converges even
+        when history contains degraded-quorum commits.  Returns the number
+        of blocks applied.
         """
         if not self.peers:
             raise LedgerError("network has no peers")
         return peer.sync_from(self.peers[0], self.policy,
                               degraded_tx_ids=self.degraded_tx_ids,
-                              degraded_policy=self.degraded_policy)
+                              degraded_policy=self.degraded_policy,
+                              batch_verify=self.batch_verify)
 
     def invoke(self, submitter: str, chaincode: str, method: str,
                **args: Any) -> Transaction:

@@ -27,12 +27,16 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE_PREFIX + left + right).digest()
 
 
+# An authentication path: (sibling_hash, sibling_is_left) per level.
+MerklePath = Tuple[Tuple[bytes, bool], ...]
+
+
 @dataclass(frozen=True)
 class MerkleProof:
-    """Authentication path for one leaf: (sibling_hash, sibling_is_left)."""
+    """Authentication path for one leaf."""
 
     leaf_index: int
-    path: Tuple[Tuple[bytes, bool], ...]
+    path: MerklePath
 
 
 class MerkleTree:
@@ -156,15 +160,23 @@ class IncrementalMerkleTree:
         return self.root.hex()
 
 
-def verify_proof(root: bytes, leaf_data: bytes, proof: MerkleProof) -> bool:
-    """Check a membership proof against a trusted root."""
+def path_root(leaf_data: bytes, path: MerklePath) -> bytes:
+    """The root an authentication path leads to from ``leaf_data``.
+
+    The empty path is a one-leaf tree: its root is the leaf hash.
+    """
     current = _leaf_hash(leaf_data)
-    for sibling, sibling_is_left in proof.path:
+    for sibling, sibling_is_left in path:
         if sibling_is_left:
             current = _node_hash(sibling, current)
         else:
             current = _node_hash(current, sibling)
-    return current == root
+    return current
+
+
+def verify_proof(root: bytes, leaf_data: bytes, proof: MerkleProof) -> bool:
+    """Check a membership proof against a trusted root."""
+    return path_root(leaf_data, proof.path) == root
 
 
 def require_proof(root: bytes, leaf_data: bytes, proof: MerkleProof) -> None:

@@ -24,6 +24,22 @@ def rsa_keypair():
     return generate_keypair(bits=1024, seed=12345)
 
 
+@pytest.fixture
+def rsa_private_ops(monkeypatch):
+    """Every ``RsaPrivateKey.private_op`` call (signatures, decryptions)
+    made while the test runs, one list entry per call."""
+    from repro.crypto.rsa import RsaPrivateKey
+    calls = []
+    original = RsaPrivateKey.private_op
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RsaPrivateKey, "private_op", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_rsa_keypair():
     """A fast 512-bit keypair for tests that only need roundtrips."""

@@ -243,3 +243,28 @@ class TestRunEndToEnd:
         assert service.study_tenant("study-999999") is None
         assert service.studies_for_tenant("tenant-lab") == [study_id]
         assert service.studies_for_tenant("tenant-other") == []
+
+
+class TestEndorsementWork:
+    def test_delt_aggregation_round_costs_four_signatures(
+            self, rsa_private_ops):
+        """Four commitments per round, endorsed by four peers: one root
+        signature per peer per round, not one per commitment per peer."""
+        service, *_ = build_world(n_institutions=4)
+        study_id = propose(service, participants=[
+            "inst-00", "inst-01", "inst-02", "inst-03"])
+        service.approve(study_id, "inst-00")
+        service.approve(study_id, "inst-01")
+        per_round = []
+        aggregation_round = service.aggregation_round
+
+        def counted(*args, **kwargs):
+            before = len(rsa_private_ops)
+            result = aggregation_round(*args, **kwargs)
+            per_round.append(len(rsa_private_ops) - before)
+            return result
+
+        service.aggregation_round = counted
+        summary = service.run(study_id)
+        assert summary["rounds"] == len(per_round) > 0
+        assert per_round == [4] * len(per_round)
