@@ -26,9 +26,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..caching.policies import Cache, LruCache
 from ..core.errors import DisconnectedError, ModelLifecycleError
-from ..crypto.rsa import HybridCiphertext, hybrid_encrypt
+from ..crypto.rsa import HybridCiphertext
 from ..fhir.resources import Bundle
-from ..ingestion.pipeline import ClientRegistration
+from ..ingestion.pipeline import ClientRegistration, encrypt_bundle_for_upload
 from ..privacy.deidentify import Deidentifier
 from .connection import PlatformConnection
 
@@ -152,8 +152,7 @@ class EnhancedClient:
             if self.anonymizer is None:
                 raise ModelLifecycleError("no anonymizer configured")
             bundle, _ = self.anonymizer.deidentify_bundle(bundle)
-        return hybrid_encrypt(self.registration.public_key,
-                              bundle.to_json().encode())
+        return encrypt_bundle_for_upload(bundle, self.registration)
 
     # -- offline operation ---------------------------------------------------------------
 

@@ -308,9 +308,11 @@ def hybrid_encrypt(public: RsaPublicKey, plaintext: bytes,
                    associated_data: bytes = b"") -> HybridCiphertext:
     """Encrypt bulk data with a fresh shared key, wrap the key under RSA.
 
-    This is the mode the platform's Data Ingestion service uses for client
-    uploads: clients encrypt to the platform's public certificate, but the
-    bulk work is symmetric.
+    This is the envelope format of client uploads: clients encrypt to the
+    platform's public certificate, but the bulk work is symmetric.  An
+    upload session (``repro.ingestion.ClientRegistration``) reuses one
+    wrapped key for all its envelopes; this one-off form wraps a fresh
+    key per call and costs the receiver one RSA private op each.
     """
     data_key = generate_key()
     cipher = SharedKeyCipher(data_key)

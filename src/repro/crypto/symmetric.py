@@ -12,6 +12,15 @@ encrypt-then-MAC AEAD built entirely from stdlib primitives:
 Encryption and MAC use independent keys derived from the master key with
 HKDF-style expansion, so the construction is a real AEAD, not a toy — only
 the underlying block primitive differs from AES-GCM.
+
+Every cipher instance draws a random 8-byte nonce prefix and counts
+messages under it, so two instances under the same master key (a KMS
+wrapping many data keys, a TPM sealing many blobs) never reuse a nonce.
+
+The keystream hashes HMAC's padded key states once per message and copies
+them for each 32-byte block, and XORs the whole message as one integer;
+the output is byte-identical to ``hmac.new(enc_key, nonce || counter)``
+per block XORed byte by byte.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ KEY_BYTES = 32
 NONCE_BYTES = 16
 TAG_BYTES = 32
 _BLOCK = hashlib.sha256().digest_size
+_HMAC_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def hkdf_expand(key: bytes, info: bytes, length: int = KEY_BYTES) -> bytes:
@@ -37,7 +49,7 @@ def hkdf_expand(key: bytes, info: bytes, length: int = KEY_BYTES) -> bytes:
     block = b""
     counter = 1
     while len(output) < length:
-        block = hmac.new(key, block + info + bytes([counter]), hashlib.sha256).digest()
+        block = hmac.digest(key, block + info + bytes([counter]), "sha256")
         output += block
         counter += 1
     return output[:length]
@@ -51,13 +63,21 @@ def generate_key(rng_seed: Optional[int] = None) -> bytes:
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    stream = b""
-    counter = 0
-    while len(stream) < length:
-        stream += hmac.new(key, nonce + struct.pack(">q", counter),
-                           hashlib.sha256).digest()
-        counter += 1
-    return stream[:length]
+    """HMAC-SHA256(key, nonce || counter) for counter = 0, 1, ..., truncated."""
+    if len(key) > _HMAC_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_HMAC_BLOCK, b"\0")
+    inner = hashlib.sha256(key.translate(_IPAD))
+    inner.update(nonce)
+    outer = hashlib.sha256(key.translate(_OPAD))
+    blocks = []
+    for counter in range(-(-length // _BLOCK)):
+        block_inner = inner.copy()
+        block_inner.update(struct.pack(">q", counter))
+        block = outer.copy()
+        block.update(block_inner.digest())
+        blocks.append(block.digest())
+    return b"".join(blocks)[:length]
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -65,7 +85,8 @@ def _xor(data: bytes, stream: bytes) -> bytes:
         raise IntegrityError(
             f"keystream length {len(stream)} does not match "
             f"data length {len(data)}")
-    return bytes(a ^ b for a, b in zip(data, stream))
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
 
 @dataclass(frozen=True)
@@ -98,7 +119,7 @@ class SharedKeyCipher:
         self._enc_key = hkdf_expand(master_key, b"enc")
         self._mac_key = hkdf_expand(master_key, b"mac")
         self._nonce_counter = 0
-        self._nonce_prefix = hkdf_expand(master_key, b"nonce", 8)
+        self._nonce_prefix = secrets.token_bytes(NONCE_BYTES - 8)
 
     def _next_nonce(self) -> bytes:
         self._nonce_counter += 1
@@ -108,15 +129,15 @@ class SharedKeyCipher:
         """Encrypt and authenticate ``plaintext`` (and bind ``associated_data``)."""
         nonce = self._next_nonce()
         body = _xor(plaintext, _keystream(self._enc_key, nonce, len(plaintext)))
-        tag = hmac.new(self._mac_key, nonce + associated_data + body,
-                       hashlib.sha256).digest()
+        tag = hmac.digest(self._mac_key, nonce + associated_data + body,
+                          "sha256")
         return Ciphertext(nonce, body, tag)
 
     def decrypt(self, ciphertext: Ciphertext, associated_data: bytes = b"") -> bytes:
         """Verify the tag then decrypt; raises IntegrityError on tamper."""
-        expected = hmac.new(self._mac_key,
-                            ciphertext.nonce + associated_data + ciphertext.body,
-                            hashlib.sha256).digest()
+        expected = hmac.digest(
+            self._mac_key, ciphertext.nonce + associated_data + ciphertext.body,
+            "sha256")
         if not hmac.compare_digest(expected, ciphertext.tag):
             raise IntegrityError("AEAD tag verification failed")
         return _xor(ciphertext.body,
@@ -125,7 +146,7 @@ class SharedKeyCipher:
 
 def compute_hmac(key: bytes, data: bytes) -> bytes:
     """Plain HMAC-SHA256, the integrity primitive Section IV-B1 recommends."""
-    return hmac.new(key, data, hashlib.sha256).digest()
+    return hmac.digest(key, data, "sha256")
 
 
 def verify_hmac(key: bytes, data: bytes, tag: bytes) -> bool:

@@ -8,7 +8,9 @@ The full flow the paper specifies:
    system for the background ingestion process";
 2. "the platform returns a status URL to the uploading client";
 3. the background process i) decrypts with the client's private key
-   (generated at registration, held in the key management system),
+   (generated at registration, held in the key management system) —
+   once per client upload session, after which the session's shared key
+   decrypts and authenticates each bundle (§IV-B1),
    ii) validates the bundle, scans for malware, verifies consent,
    iii) de-identifies and stores in the Data Lake with a reference-id,
    keeping the identity mapping in protected metadata;
@@ -37,14 +39,16 @@ from ..core.errors import (
     NotFoundError,
 )
 from ..crypto.merkle import IncrementalMerkleTree
-from ..crypto.rsa import (
+from ..crypto.rsa import (  # noqa: F401 - hybrid_decrypt stays importable here
     HybridCiphertext,
     RsaPrivateKey,
     RsaPublicKey,
     generate_keypair,
     hybrid_decrypt,
-    hybrid_encrypt,
+    rsa_decrypt,
+    rsa_encrypt,
 )
+from ..crypto.symmetric import SharedKeyCipher, generate_key
 from ..fhir.resources import Bundle, Consent, Patient
 from ..fhir.validation import BundleValidator
 from ..privacy.consent import ConsentManagementService
@@ -99,10 +103,32 @@ class IngestionJob:
 
 @dataclass(frozen=True)
 class ClientRegistration:
-    """Issued at registration: public certificate for upload encryption."""
+    """Issued at registration: public certificate for upload encryption.
+
+    The registration also owns the client's upload session (§IV-B1: bulk
+    data under "a well-established shared key").  At creation it draws
+    one data key, wraps it once under the certificate, and keeps one
+    AEAD cipher whose nonce counter runs for the whole session.  Every
+    envelope of the session carries the same wrapped key, so each one
+    still decrypts on its own, while the ingestion worker pays one RSA
+    private operation per session instead of one per bundle.
+    """
 
     client_id: str
     public_key: RsaPublicKey
+    wrapped_key: bytes = field(init=False, repr=False, compare=False)
+    _cipher: SharedKeyCipher = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        data_key = generate_key()
+        object.__setattr__(self, "wrapped_key",
+                           rsa_encrypt(self.public_key, data_key))
+        object.__setattr__(self, "_cipher", SharedKeyCipher(data_key))
+
+    def encrypt(self, plaintext: bytes) -> HybridCiphertext:
+        """Seal one upload under the session key."""
+        return HybridCiphertext(self.wrapped_key,
+                                self._cipher.encrypt(plaintext))
 
 
 class IngestionService:
@@ -134,6 +160,11 @@ class IngestionService:
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
         self._client_keys: Dict[str, RsaPrivateKey] = {}
+        # One upload-session slot per registered client: the last wrapped
+        # key that client's envelopes verified under, and its cipher.  The
+        # slot caches a pure function of (client key, wrapped key), so a
+        # one-off envelope just misses it and replaces it.
+        self._sessions: Dict[str, Tuple[bytes, SharedKeyCipher]] = {}
         self._jobs: Dict[str, IngestionJob] = {}
         self._queue: Deque[str] = deque()
         self._job_counter = 0
@@ -296,8 +327,7 @@ class IngestionService:
         start = self.clock.now
         # i) decrypt with the client's platform-held private key.
         try:
-            plaintext = hybrid_decrypt(self._client_keys[job.client_id],
-                                       job.envelope)
+            plaintext = self._open(job)
         except Exception as exc:
             self._reject(job, f"decryption failed: {exc}")
             return
@@ -373,6 +403,24 @@ class IngestionService:
         self.monitoring.metrics.observe("ingestion.latency",
                                         self.clock.now - start)
 
+    def _open(self, job: IngestionJob) -> bytes:
+        """Verify and decrypt an envelope through its client's session.
+
+        The RSA unwrap runs only when the wrapped key differs from the
+        slot's; the AEAD tag is verified for every envelope.  The slot is
+        replaced only after a new key's envelope verifies, so a garbage
+        wrapped key or a forged body leaves the session as it was.
+        """
+        envelope = job.envelope
+        slot = self._sessions.get(job.client_id)
+        if slot is not None and slot[0] == envelope.wrapped_key:
+            return slot[1].decrypt(envelope.body)
+        cipher = SharedKeyCipher(rsa_decrypt(self._client_keys[job.client_id],
+                                             envelope.wrapped_key))
+        plaintext = cipher.decrypt(envelope.body)
+        self._sessions[job.client_id] = (envelope.wrapped_key, cipher)
+        return plaintext
+
     # -- blockchain hooks --------------------------------------------------------------
 
     def _provenance(self, job: IngestionJob, data_hash: str,
@@ -422,8 +470,9 @@ class IngestionService:
 
 def encrypt_bundle_for_upload(bundle: Bundle,
                               registration: ClientRegistration) -> HybridCiphertext:
-    """Client-side helper: serialize + hybrid-encrypt a bundle for upload."""
-    return hybrid_encrypt(registration.public_key, bundle.to_json().encode())
+    """Client-side helper: serialize a bundle and seal it under the
+    registration's upload session (see :class:`ClientRegistration`)."""
+    return registration.encrypt(bundle.to_json().encode())
 
 
 class ShardedIngestionFrontend:

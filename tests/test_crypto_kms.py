@@ -8,6 +8,11 @@ from repro.core.errors import (
     NotFoundError,
 )
 from repro.crypto.kms import KeyManagementService, KeyState, KmsFleet
+from repro.crypto.symmetric import Ciphertext
+
+
+def xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
 
 
 @pytest.fixture
@@ -64,6 +69,18 @@ class TestEnvelope:
         k1 = kms.generate_data_key(key_id, "svc")
         k2 = kms.generate_data_key(key_id, "svc")
         assert k1.plaintext != k2.plaintext
+
+    def test_wraps_under_one_key_never_reuse_a_nonce(self, kms):
+        # A repeated nonce is a two-time pad: XOR of the two wrapped bodies
+        # would equal XOR of the two data keys, so one leaked data key
+        # would reveal every other key wrapped under the same master key.
+        key_id = kms.create_key("phi")
+        k1 = kms.generate_data_key(key_id, "svc")
+        k2 = kms.generate_data_key(key_id, "svc")
+        c1, c2 = Ciphertext.from_bytes(k1.wrapped), Ciphertext.from_bytes(
+            k2.wrapped)
+        assert c1.nonce != c2.nonce
+        assert xor(c1.body, c2.body) != xor(k1.plaintext, k2.plaintext)
 
     def test_rotation_keeps_old_versions_unwrappable(self, kms):
         key_id = kms.create_key("phi")

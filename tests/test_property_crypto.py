@@ -1,8 +1,12 @@
 """Property-based tests for the crypto substrate (hypothesis)."""
 
+import hashlib
+import hmac
+import struct
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.crypto.merkle import MerkleTree, verify_proof
 from repro.crypto.redactable import (
@@ -12,7 +16,14 @@ from repro.crypto.redactable import (
     verify_share,
 )
 from repro.crypto.rsa import generate_keypair, rsa_decrypt, rsa_encrypt, rsa_sign
-from repro.crypto.symmetric import Ciphertext, SharedKeyCipher, generate_key
+from repro.crypto.symmetric import (
+    Ciphertext,
+    SharedKeyCipher,
+    _keystream,
+    _xor,
+    generate_key,
+    hkdf_expand,
+)
 
 KEYPAIR = generate_keypair(bits=768, seed=4242)
 # Every modulus size the repo actually uses (conftest fixtures: 512/1024;
@@ -52,6 +63,54 @@ class TestAeadProperties:
         ciphertext = cipher.encrypt(plaintext)
         assert Ciphertext.from_bytes(ciphertext.to_bytes()).to_bytes() == \
             ciphertext.to_bytes()
+
+
+def reference_keystream(key, nonce, length):
+    """The AEAD keystream as first written: one ``hmac.new`` per block."""
+    stream = b""
+    counter = 0
+    while len(stream) < length:
+        stream += hmac.new(key, nonce + struct.pack(">q", counter),
+                           hashlib.sha256).digest()
+        counter += 1
+    return stream[:length]
+
+
+def reference_xor(data, stream):
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+class TestKeystreamOracle:
+    """The keystream fast path is byte-identical to per-block HMAC."""
+
+    # Lengths drawn first so keys past HMAC's 64-byte block (hashed
+    # before padding) are as likely as short ones.
+    @given(key=st.integers(0, 130).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           data=st.binary(max_size=300),
+           nonce=st.binary(min_size=16, max_size=16))
+    @example(key=b"k" * 64, data=b"d" * 33, nonce=b"n" * 16)
+    @example(key=b"k" * 65, data=b"d" * 33, nonce=b"n" * 16)
+    @_NO_DEADLINE
+    def test_keystream_and_xor_match_reference(self, key, data, nonce):
+        stream = _keystream(key, nonce, len(data))
+        assert stream == reference_keystream(key, nonce, len(data))
+        assert _xor(data, stream) == reference_xor(data, stream)
+
+    @given(plaintext=st.binary(max_size=300),
+           associated=st.binary(max_size=32))
+    @_NO_DEADLINE
+    def test_ciphertext_matches_reference(self, plaintext, associated):
+        master = generate_key(9)
+        ciphertext = SharedKeyCipher(master).encrypt(plaintext, associated)
+        enc_key = hkdf_expand(master, b"enc")
+        mac_key = hkdf_expand(master, b"mac")
+        assert ciphertext.body == reference_xor(
+            plaintext,
+            reference_keystream(enc_key, ciphertext.nonce, len(plaintext)))
+        assert ciphertext.tag == hmac.new(
+            mac_key, ciphertext.nonce + associated + ciphertext.body,
+            hashlib.sha256).digest()
 
 
 class TestCrtRsaProperties:

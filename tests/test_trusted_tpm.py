@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.errors import AttestationError
+from repro.crypto.symmetric import Ciphertext
 from repro.trusted.tpm import PCR_COUNT, Quote, Tpm, verify_quote
+
+
+def sealed_ciphertext(blob):
+    """The AEAD ciphertext of a sealed blob, past its PCR-list header."""
+    return blob[4 + int.from_bytes(blob[:4], "big"):]
 
 
 @pytest.fixture
@@ -99,6 +105,15 @@ class TestSealedStorage:
         tpm.extend(0, "rootkit", OTHER)
         with pytest.raises(AttestationError):
             tpm.unseal(blob)
+
+    def test_seals_under_one_policy_never_reuse_a_nonce(self, tpm):
+        tpm.extend(0, "bios", MEASUREMENT)
+        payloads = (b"volume key one!!", b"volume key two!!")
+        bodies = [Ciphertext.from_bytes(sealed_ciphertext(tpm.seal(s, (0,))))
+                  for s in payloads]
+        assert bodies[0].nonce != bodies[1].nonce
+        assert (bytes(x ^ y for x, y in zip(bodies[0].body, bodies[1].body))
+                != bytes(x ^ y for x, y in zip(*payloads)))
 
     def test_unrelated_pcr_change_ok(self, tpm):
         tpm.extend(0, "bios", MEASUREMENT)
