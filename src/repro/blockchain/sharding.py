@@ -348,11 +348,10 @@ class ShardedBlockchainNetwork:
                     serial_s=serial,
                     makespan_s=makespan)
                 makespans.append(makespan)
-                plane = self.monitoring.healthplane
-                if plane is not None:
-                    plane.observe_shard_commit(
-                        shard=name, transactions=len(requests),
-                        rounds=len(rounds), makespan_s=makespan)
+                self.monitoring.publish(
+                    "blockchain", "shard.commit", shard=name,
+                    transactions=len(requests), rounds=len(rounds),
+                    makespan_s=makespan)
             total = max(makespans) if makespans else 0.0
             self.clock.advance_to(start + total)
             span.set_attribute("makespan_s", total)

@@ -146,7 +146,8 @@ class CacheHierarchy(Generic[K, V]):
         self.clock = clock if clock is not None else SimClock()
         self.promote = promote
         self.negative_ttl_s = negative_ttl_s
-        self.monitoring = monitoring
+        self.monitoring = (monitoring if monitoring is not None
+                           else MonitoringService(self.clock))
         self.tracer = tracer
         self._inflight: Dict[K, _Flight] = {}
         self._negative: Dict[K, float] = {}     # key -> expiry time
@@ -209,9 +210,9 @@ class CacheHierarchy(Generic[K, V]):
                 self.clock.advance(self.origin.access_cost_s
                                    + self.origin.per_item_cost_s)
                 self.origin_loads += 1
-                self._metric("cache.origin_loads")
-                self._publish("origin_fetch", origin=self.origin.name,
-                              keys=1)
+                self.monitoring.metrics.incr("cache.origin_loads")
+                self.monitoring.publish("cache", "cache.origin_fetch",
+                                        origin=self.origin.name, keys=1)
                 try:
                     value = self.origin.load(key)
                 except NotFoundError:
@@ -239,7 +240,7 @@ class CacheHierarchy(Generic[K, V]):
             self.clock.advance_to(start)
         all_keys = list(keys)
         self.batched_lookups += 1
-        self._metric("cache.batched_lookups")
+        self.monitoring.metrics.incr("cache.batched_lookups")
         self.requests += len(all_keys)
         with maybe_span(self.tracer, "cache.get_many", "cache",
                         keys=len(all_keys)) as span:
@@ -258,7 +259,7 @@ class CacheHierarchy(Generic[K, V]):
         for key in all_keys:
             if key in seen:
                 self.coalesced += 1
-                self._metric("cache.coalesced")
+                self.monitoring.metrics.incr("cache.coalesced")
             else:
                 seen.add(key)
                 unique.append(key)
@@ -273,7 +274,7 @@ class CacheHierarchy(Generic[K, V]):
             if flight is not None and start < flight.completes_at:
                 self.coalesced += 1
                 coalesced += 1
-                self._metric("cache.coalesced")
+                self.monitoring.metrics.incr("cache.coalesced")
                 self.clock.advance_to(flight.completes_at)
                 if flight.not_found:
                     missing.append(key)
@@ -309,9 +310,11 @@ class CacheHierarchy(Generic[K, V]):
                     self.origin.access_cost_s
                     + self.origin.per_item_cost_s * len(remaining))
                 self.origin_loads += len(remaining)
-                self._metric("cache.origin_loads", len(remaining))
-                self._publish("origin_fetch", origin=self.origin.name,
-                              keys=len(remaining))
+                self.monitoring.metrics.incr("cache.origin_loads",
+                                             len(remaining))
+                self.monitoring.publish("cache", "cache.origin_fetch",
+                                        origin=self.origin.name,
+                                        keys=len(remaining))
                 loaded = self.origin.load_many(remaining)
             completes = self.clock.now
             for key in remaining:
@@ -366,7 +369,7 @@ class CacheHierarchy(Generic[K, V]):
             del self._inflight[key]
             return None
         self.coalesced += 1
-        self._metric("cache.coalesced")
+        self.monitoring.metrics.incr("cache.coalesced")
         self.clock.advance_to(flight.completes_at)
         if flight.not_found:
             raise NotFoundError(
@@ -380,7 +383,7 @@ class CacheHierarchy(Generic[K, V]):
             return False
         if start < expiry:
             self.negative_hits += 1
-            self._metric("cache.negative_hits")
+            self.monitoring.metrics.incr("cache.negative_hits")
             return True
         del self._negative[key]
         return False
@@ -398,18 +401,6 @@ class CacheHierarchy(Generic[K, V]):
             self._inflight = {k: f for k, f in self._inflight.items()
                               if f.completes_at > now}
         self._inflight[key] = flight
-
-    def _metric(self, name: str, value: float = 1.0) -> None:
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr(name, value)
-
-    def _publish(self, kind: str, **attributes: Any) -> None:
-        """Emit a cache lifecycle event when a health plane is attached."""
-        if self.monitoring is None:
-            return
-        plane = self.monitoring.healthplane
-        if plane is not None:
-            plane.events.publish("cache", f"cache.{kind}", **attributes)
 
     # -- reporting -----------------------------------------------------------
 
@@ -429,10 +420,9 @@ class CacheHierarchy(Generic[K, V]):
 
     def publish_metrics(self, monitoring: Optional[MonitoringService] = None
                         ) -> None:
-        """Push per-level and hierarchy gauges to a monitoring service."""
+        """Push per-level and hierarchy gauges to a monitoring service
+        (by default the hierarchy's own)."""
         target = monitoring if monitoring is not None else self.monitoring
-        if target is None:
-            raise ConfigurationError("no monitoring service to publish to")
         gauges = target.metrics.set_gauge
         for name, stats in self.stats_by_level():
             gauges(f"cache.{name}.hits", float(stats.hits))

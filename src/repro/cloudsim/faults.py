@@ -108,7 +108,8 @@ class FaultPlan:
         self._rng = random.Random(seed)
         self.seed = seed
         self.clock = clock if clock is not None else SimClock()
-        self.monitoring = monitoring
+        self.monitoring = (monitoring if monitoring is not None
+                           else MonitoringService(self.clock))
         self.link_drops: List[LinkDropFault] = []
         self.latency_spikes: List[LatencySpikeFault] = []
         self.node_crashes: List[NodeCrashFault] = []
@@ -192,8 +193,7 @@ class FaultPlan:
 
     def _count(self, kind: str) -> None:
         self.counters[kind] = self.counters.get(kind, 0) + 1
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr(f"faults.{kind}")
+        self.monitoring.metrics.incr(f"faults.{kind}")
 
     def describe(self) -> Dict[str, Any]:
         """Serializable summary (for benchmark JSON and audits)."""

@@ -9,12 +9,15 @@
   ``incr``/``observe``/``set_gauge`` call anywhere in the platform
   gains a time dimension without touching its call site;
 * instrumented layers (gateway, resilience executor, cache hierarchy,
-  sharded blockchain, ingestion frontend) reach the plane through the
-  ``monitoring.healthplane`` hook — ``None`` by default, same optional
-  pattern as the tracer and the fault plan;
-* :meth:`observe_request` is the gateway's one-call instrumentation
-  point: labeled latency series, good/bad SLO counters, per-tenant and
-  per-route accounting, and an ``api.request`` stream event;
+  sharded blockchain, ingestion frontend, compute scheduler) report
+  events through :meth:`MonitoringService.publish
+  <repro.cloudsim.monitoring.MonitoringService.publish>`, which hands
+  them to :meth:`receive` — and does nothing while no plane is
+  attached; a monitoring service takes at most one plane;
+* :meth:`receive` turns each gateway ``api.request`` into labeled
+  latency series, good/bad SLO counters, and per-tenant and per-route
+  accounting, and each ``shard.commit`` into a per-shard series and
+  charge, before putting every event on the stream;
 * :meth:`log_tail` feeds the event stream from the hash-chained log
   (WARN-and-up by default) using the log store's indexed, level-ranked
   filtering;
@@ -87,17 +90,30 @@ class HealthPlane:
         self.accounting = UsageAccountant(capacity=accounting_capacity)
         self.exemplar_metrics = tuple(exemplar_metrics)
         self._log_cursor = 0
-        # Attach: existing metric call sites gain the time dimension and
-        # instrumented layers discover the plane through monitoring.
+        # Attach first: it refuses a monitoring service that already
+        # feeds a plane, before the series binding is taken over.
+        monitoring.attach(self)
         monitoring.metrics.bind_series(self.series)
-        monitoring.healthplane = self
 
-    # -- gateway instrumentation --------------------------------------------
+    # -- layer events --------------------------------------------------------
 
-    def observe_request(self, tenant: str, route: str, status: int,
-                        latency_s: float,
-                        trace_id: Optional[str] = None) -> None:
-        """Record one API request across all four substrates.
+    def receive(self, source: str, kind: str,
+                attributes: Dict[str, Any]) -> None:
+        """Take one event from :meth:`MonitoringService.publish`.
+
+        Series and charges are recorded before the event reaches the
+        stream, so a subscriber never sees a request or a shard commit
+        that the SLO series and the accounting do not yet count.
+        """
+        if kind == "api.request":
+            self._request(**attributes)
+        elif kind == "shard.commit":
+            self._shard_commit(**attributes)
+        self.events.publish(source, kind, **attributes)
+
+    def _request(self, tenant: str, route: str, status: int,
+                 latency_s: float, trace: Optional[str] = None) -> None:
+        """One gateway request: SLO counters, latency series, charges.
 
         5xx responses count against the availability SLO (the platform
         failed); 4xx are the caller's fault and burn no budget.
@@ -110,25 +126,14 @@ class HealthPlane:
                                faults=0.0 if good else 1.0)
         self.accounting.charge("route", route, latency_s=latency_s,
                                faults=0.0 if good else 1.0)
-        attributes: Dict[str, Any] = {"tenant": tenant, "route": route,
-                                      "status": status,
-                                      "latency_s": latency_s}
-        if trace_id is not None:
-            attributes["trace"] = trace_id
-        self.events.publish("gateway", "api.request", **attributes)
 
-    # -- shard instrumentation ----------------------------------------------
-
-    def observe_shard_commit(self, shard: str, transactions: int,
-                             rounds: int, makespan_s: float) -> None:
-        """Record one shard's slice of a fork-join ingest."""
+    def _shard_commit(self, shard: str, transactions: int, rounds: int,
+                      makespan_s: float) -> None:
+        """One shard's slice of a fork-join ingest."""
         self.series.record("blockchain.shard.commit_s", makespan_s,
                            labels={"shard": shard})
         self.accounting.charge("shard", shard, requests=float(transactions),
                                latency_s=makespan_s)
-        self.events.publish("blockchain", "shard.commit", shard=shard,
-                            transactions=transactions, rounds=rounds,
-                            makespan_s=makespan_s)
 
     # -- log tail ------------------------------------------------------------
 

@@ -11,8 +11,10 @@ from.  A :class:`TimeSeriesStore` adds that dimension:
   finalized :class:`WindowAggregate` records per series — memory is
   bounded by ``window_count`` regardless of run length;
 * each window keeps ``sum/count/min/max/last`` plus nearest-rank
-  ``p50/p99`` (samples are held only for the still-open window and
-  folded into the aggregate when the window closes);
+  ``p50/p99`` by :func:`~repro.cloudsim.monitoring.percentile`, the
+  function ``MetricsRegistry.summary`` uses (samples are held only for
+  the still-open window and folded into the aggregate when the window
+  closes);
 * series are **labeled** — ``api.request.latency{route=/records,
   tenant=t-07}`` — with deterministic key rendering (sorted label
   names), and total cardinality is **bounded**: past ``max_series`` the
@@ -37,6 +39,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from ...core.errors import ConfigurationError
 from ..clock import SimClock
+from ..monitoring import percentile
 
 
 def series_key(name: str, labels: Optional[Mapping[str, str]] = None) -> str:
@@ -64,12 +67,6 @@ class WindowAggregate:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-
-def _pct(sorted_values: List[float], p: float) -> float:
-    """Nearest-rank percentile (same definition as MetricsRegistry)."""
-    n = len(sorted_values)
-    return sorted_values[min(n - 1, max(0, math.ceil(p * n) - 1))]
 
 
 class TimeSeries:
@@ -104,8 +101,8 @@ class TimeSeries:
             min=ordered[0],
             max=ordered[-1],
             last=self._live[-1],
-            p50=_pct(ordered, 0.50),
-            p99=_pct(ordered, 0.99),
+            p50=percentile(ordered, 0.50),
+            p99=percentile(ordered, 0.99),
         )
 
     def windows(self) -> List[WindowAggregate]:

@@ -204,6 +204,17 @@ class LogStore:
         return True
 
 
+def percentile(sorted_values: List[float], p: float) -> float:
+    """Nearest-rank percentile of non-empty, ascending ``sorted_values``.
+
+    The p-th percentile of n samples is the value at rank ``ceil(p*n)``
+    (1-based), i.e. index ``ceil(p*n) - 1``; ``int(p*n)`` indexing would
+    overshoot by one rank (p50 of ``[1.0, 2.0]`` would be the max).
+    """
+    n = len(sorted_values)
+    return sorted_values[min(n - 1, max(0, math.ceil(p * n) - 1))]
+
+
 class MetricsRegistry:
     """Counters, gauges, and latency histograms for platform services."""
 
@@ -261,29 +272,20 @@ class MetricsRegistry:
         return {"value": record[0], "trace_id": record[1]}
 
     def summary(self, name: str) -> Dict[str, float]:
-        """count/mean/min/max/p50/p95/p99 for a histogram.
-
-        Percentiles use the nearest-rank definition: the p-th percentile
-        of n sorted samples is the value at rank ``ceil(p*n)`` (1-based),
-        i.e. index ``ceil(p*n) - 1``.  The previous ``int(p*n)`` indexing
-        overshot by one rank — p50 of ``[1.0, 2.0]`` reported the max.
-        """
+        """count/mean/min/max/p50/p95/p99 for a histogram (percentiles
+        by :func:`percentile`)."""
         values = sorted(self._histograms.get(name, []))
         if not values:
             return {"count": 0}
         n = len(values)
-
-        def pct(p: float) -> float:
-            return values[min(n - 1, max(0, math.ceil(p * n) - 1))]
-
         return {
             "count": n,
             "mean": sum(values) / n,
             "min": values[0],
             "max": values[-1],
-            "p50": pct(0.50),
-            "p95": pct(0.95),
-            "p99": pct(0.99),
+            "p50": percentile(values, 0.50),
+            "p95": percentile(values, 0.95),
+            "p99": percentile(values, 0.99),
         }
 
     def histogram_values(self, name: str) -> List[float]:
@@ -297,10 +299,28 @@ class MonitoringService:
         self.clock = clock if clock is not None else SimClock()
         self.logs = LogStore(self.clock)
         self.metrics = MetricsRegistry()
-        # Optional health control plane (repro.cloudsim.healthplane):
-        # instrumented components reach the plane through this hook, the
-        # same None-by-default pattern as tracer/fault_plan attributes.
-        self.healthplane: Optional[Any] = None
+        self._plane: Optional[Any] = None      # see attach()
+
+    def attach(self, plane: Any) -> None:
+        """Route every :meth:`publish` to ``plane.receive``.
+
+        A service feeds one plane: a second would silently take the
+        events (and the series binding) away from the first.
+        """
+        if self._plane is not None:
+            raise ConfigurationError(
+                "a health plane is already attached to this monitoring "
+                "service")
+        self._plane = plane
+
+    def publish(self, source: str, kind: str, **attributes: Any) -> None:
+        """Report one lifecycle event from platform layer ``source``.
+
+        The one event entry point for layers: the attached health plane
+        receives it; with no plane attached it does nothing.
+        """
+        if self._plane is not None:
+            self._plane.receive(source, kind, attributes)
 
     def log(self, stream: str, message: str, level: str = "INFO",
             **attributes: Any) -> LogEntry:

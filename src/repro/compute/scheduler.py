@@ -20,9 +20,10 @@ Scheduling properties:
   delay on an attested host) and retires idle workers when depth falls;
 * **lifecycle events** — PENDING → SCHEDULED → RUNNING →
   SUCCEEDED/FAILED/CANCELLED transitions (and per-task/worker events) are
-  published on the health plane :class:`~..cloudsim.healthplane.EventBus`
-  and mirrored into :class:`~..cloudsim.monitoring.MetricsRegistry`
-  gauges;
+  reported through
+  :meth:`~..cloudsim.monitoring.MonitoringService.publish`, which puts
+  them on the attached health plane's event stream, and mirrored into
+  :class:`~..cloudsim.monitoring.MetricsRegistry` gauges;
 * **lineage-based recovery** — a FaultPlan crash window kills the
   attempts running on that node and evicts its object store; lost
   objects are recomputed by re-running their producer tasks (idempotent
@@ -156,7 +157,7 @@ class Scheduler:
     def __init__(self, pool: WorkerPool, clock: Optional[SimClock] = None,
                  monitoring: Optional[MonitoringService] = None,
                  tracer: Optional[Tracer] = None,
-                 fault_plan=None, events=None, *,
+                 fault_plan=None, *,
                  min_workers: int = 1, max_workers: int = 8,
                  tasks_per_worker: int = 4, queue_bound: int = 64,
                  schedule_cost_s: float = 0.0005,
@@ -172,10 +173,10 @@ class Scheduler:
             raise ConfigurationError("queue bounds must be >= 1")
         self.pool = pool
         self.clock = clock if clock is not None else SimClock()
-        self.monitoring = monitoring
+        self.monitoring = (monitoring if monitoring is not None
+                           else MonitoringService(self.clock))
         self.tracer = tracer
         self.fault_plan = fault_plan
-        self.events = events
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.tasks_per_worker = tasks_per_worker
@@ -221,8 +222,9 @@ class Scheduler:
         self._log(f"job {job.job_id} submitted by {submitted_by} "
                   f"tenant={tenant_id} graph={graph.name} "
                   f"tasks={len(graph.tasks)}")
-        self._publish("job.pending", job_id=job.job_id, graph=graph.name,
-                      tenant=tenant_id, tasks=len(graph.tasks))
+        self.monitoring.publish("compute", "job.pending", job_id=job.job_id,
+                                graph=graph.name, tenant=tenant_id,
+                                tasks=len(graph.tasks))
         self._gauges()
         return job
 
@@ -339,16 +341,18 @@ class Scheduler:
                 self._fail(job, WorkerExhaustedError(
                     f"cannot provision the minimum fleet: {exc}"))
                 return
-            self._publish("worker.scaled_up", job_id=job.job_id,
-                          worker=worker.worker_id, node=worker.node_id)
+            self.monitoring.publish("compute", "worker.scaled_up",
+                                    job_id=job.job_id, worker=worker.worker_id,
+                                    node=worker.node_id)
         job.started_at_s = self.clock.now
         if not job.graph.tasks:          # empty graph: trivially done
             self._finalize(job, JobState.SUCCEEDED)
 
     def _set_state(self, job: Job, state: JobState) -> None:
         job.state = state
-        self._publish(f"job.{state.value}", job_id=job.job_id,
-                      tenant=job.tenant_id, graph=job.graph.name)
+        self.monitoring.publish("compute", f"job.{state.value}",
+                                job_id=job.job_id, tenant=job.tenant_id,
+                                graph=job.graph.name)
         self._log(f"job {job.job_id} -> {state.value}")
         self._gauges()
 
@@ -361,8 +365,7 @@ class Scheduler:
         self._running = []
         self._ready = []
         self._set_state(job, state)
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr(f"compute.jobs.{state.value}")
+        self.monitoring.metrics.incr(f"compute.jobs.{state.value}")
 
     def _fail(self, job: Job, error: BaseException) -> None:
         self._finalize(job, JobState.FAILED, error)
@@ -372,8 +375,10 @@ class Scheduler:
     def _step_job(self, job: Job, root: Any) -> None:
         if job.cancel_requested:
             for attempt in self._running:
-                self._publish("task.cancelled", job_id=job.job_id,
-                              task=attempt.task_id, worker=attempt.worker.worker_id)
+                self.monitoring.publish("compute", "task.cancelled",
+                                        job_id=job.job_id,
+                                        task=attempt.task_id,
+                                        worker=attempt.worker.worker_id)
                 attempt.worker.busy_until_s = self.clock.now
             self._finalize(job, JobState.CANCELLED,
                            TaskCancelledError("cancelled by caller"))
@@ -432,8 +437,9 @@ class Scheduler:
                 worker = self.pool.grow(self.clock.now)
             except HealthCloudError:
                 break                        # no attested capacity left
-            self._publish("worker.scaled_up", job_id=job.job_id,
-                          worker=worker.worker_id, node=worker.node_id)
+            self.monitoring.publish("compute", "worker.scaled_up",
+                                    job_id=job.job_id, worker=worker.worker_id,
+                                    node=worker.node_id)
             self._log(f"job {job.job_id} scaled up {worker.worker_id} "
                       f"(queue depth {depth})")
             size += 1
@@ -454,8 +460,10 @@ class Scheduler:
                 self.pool.shrink(worker)
                 for key in list(job.locations):
                     job.locations[key].discard(worker.node_id)
-                self._publish("worker.scaled_down", job_id=job.job_id,
-                              worker=worker.worker_id, node=worker.node_id)
+                self.monitoring.publish("compute", "worker.scaled_down",
+                                        job_id=job.job_id,
+                                        worker=worker.worker_id,
+                                        node=worker.node_id)
                 size -= 1
         self._gauges()
 
@@ -526,12 +534,12 @@ class Scheduler:
             "worker": worker.worker_id, "node": worker.node_id,
             "t_assign": round(now, 9), "t_done": round(t_done, 9),
             "transfer_bytes": transfer_bytes})
-        self._publish("task.scheduled", job_id=job.job_id, task=task_id,
-                      attempt=attempt.attempt, worker=worker.worker_id,
-                      node=worker.node_id, transfer_bytes=transfer_bytes)
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr("compute.bytes.transferred",
-                                         transfer_bytes)
+        self.monitoring.publish("compute", "task.scheduled", job_id=job.job_id,
+                                task=task_id, attempt=attempt.attempt,
+                                worker=worker.worker_id, node=worker.node_id,
+                                transfer_bytes=transfer_bytes)
+        self.monitoring.metrics.incr("compute.bytes.transferred",
+                                     transfer_bytes)
 
     def _first_crash(self, worker: Worker, start_s: float,
                      end_s: float) -> Optional[float]:
@@ -608,30 +616,28 @@ class Scheduler:
             job.locations[input_key].add(worker.node_id)
         job.task_states[attempt.task_id] = TaskState.SUCCEEDED
         self._attach_spans(job, attempt, root, status="OK")
-        self._publish("task.finished", job_id=job.job_id,
-                      task=attempt.task_id, attempt=attempt.attempt,
-                      worker=worker.worker_id,
-                      duration_s=round(attempt.t_done - attempt.t_assign, 9))
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr("compute.tasks.succeeded")
-            self.monitoring.metrics.observe(
-                "compute.task.latency",
-                attempt.t_done - attempt.t_ready,
-                trace_id=job.trace_id)
+        self.monitoring.publish(
+            "compute", "task.finished", job_id=job.job_id,
+            task=attempt.task_id, attempt=attempt.attempt,
+            worker=worker.worker_id,
+            duration_s=round(attempt.t_done - attempt.t_assign, 9))
+        self.monitoring.metrics.incr("compute.tasks.succeeded")
+        self.monitoring.metrics.observe(
+            "compute.task.latency", attempt.t_done - attempt.t_ready,
+            trace_id=job.trace_id)
 
     def _crash(self, job: Job, attempt: _Attempt, root: Any) -> None:
         worker = attempt.worker
         task = job.graph.tasks[attempt.task_id]
         self._attach_spans(job, attempt, root, status="ERROR",
                            error="node crashed")
-        self._publish("worker.crashed", job_id=job.job_id,
-                      worker=worker.worker_id, node=worker.node_id,
-                      task=attempt.task_id)
+        self.monitoring.publish("compute", "worker.crashed", job_id=job.job_id,
+                                worker=worker.worker_id, node=worker.node_id,
+                                task=attempt.task_id)
         self._log(f"job {job.job_id} worker {worker.worker_id} crashed "
                   f"running {attempt.task_id} "
                   f"(attempt {attempt.attempt})", level="WARN")
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr("compute.workers.crashed")
+        self.monitoring.metrics.incr("compute.workers.crashed")
         # Evict the node's object store; find lineage holes.
         worker.store.clear()
         worker.busy_until_s = self.clock.now
@@ -662,10 +668,10 @@ class Scheduler:
                 return
             job.task_states[producer] = TaskState.PENDING
             job.recovered_tasks.append(producer)
-            self._publish("task.recovery", job_id=job.job_id, task=producer,
-                          lost_object=key)
-            if self.monitoring is not None:
-                self.monitoring.metrics.incr("compute.tasks.recovered")
+            self.monitoring.publish("compute", "task.recovery",
+                                    job_id=job.job_id, task=producer,
+                                    lost_object=key)
+            self.monitoring.metrics.incr("compute.tasks.recovered")
 
     def _requeue(self, job: Job, task_id: str) -> bool:
         if job.attempts[task_id] >= self.max_attempts:
@@ -674,10 +680,9 @@ class Scheduler:
                 f"attempts"))
             return False
         job.task_states[task_id] = TaskState.PENDING
-        self._publish("task.retried", job_id=job.job_id, task=task_id,
-                      attempts=job.attempts[task_id])
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr("compute.tasks.retried")
+        self.monitoring.publish("compute", "task.retried", job_id=job.job_id,
+                                task=task_id, attempts=job.attempts[task_id])
+        self.monitoring.metrics.incr("compute.tasks.retried")
         return True
 
     def _all_succeeded(self, job: Job) -> bool:
@@ -730,22 +735,10 @@ class Scheduler:
 
     # -- internals: observability --------------------------------------------
 
-    def _publish(self, kind: str, **attributes: Any) -> None:
-        bus = self.events
-        if bus is None and self.monitoring is not None:
-            plane = self.monitoring.healthplane
-            if plane is not None:
-                bus = plane.events
-        if bus is not None:
-            bus.publish("compute", kind, **attributes)
-
     def _log(self, message: str, level: str = "INFO") -> None:
-        if self.monitoring is not None:
-            self.monitoring.log("compute", message, level=level)
+        self.monitoring.log("compute", message, level=level)
 
     def _gauges(self) -> None:
-        if self.monitoring is None:
-            return
         metrics = self.monitoring.metrics
         metrics.set_gauge("compute.jobs.pending", float(len(self._queue)))
         metrics.set_gauge("compute.jobs.running", float(

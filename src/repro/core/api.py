@@ -322,41 +322,27 @@ class ApiGateway:
         observed = {"tenant": "unauthenticated", "route": request.path}
         with maybe_span(self.tracer, "api.dispatch", "gateway",
                         path=request.path, request_id=request_id) as span:
+            status = 200
             try:
                 body = self._handle(request, request_id, observed)
             except Exception as exc:
                 status = http_status_for(exc)
-                span.set_attribute("http.status", status)
                 span.set_status("ERROR", f"{type(exc).__name__}: {exc}")
                 self.monitoring.log(
                     "api", f"{request_id} {status} {request.path}: {exc}",
                     level="ERROR" if status >= 500 else "WARN",
                     trace=span.trace_id)
-                self.monitoring.metrics.incr(f"api.status.{status}")
-                self.monitoring.metrics.observe(
-                    "api.latency", self.clock.now - started,
-                    trace_id=span.trace_id)
-                self._observe_health(observed, status,
-                                     self.clock.now - started, span.trace_id)
-                return ApiResponse(status, {"error": str(exc)}, request_id)
-            span.set_attribute("http.status", 200)
-            self.monitoring.metrics.incr("api.status.200")
-            self.monitoring.metrics.observe(
-                "api.latency", self.clock.now - started,
-                trace_id=span.trace_id)
-            self._observe_health(observed, 200, self.clock.now - started,
-                                 span.trace_id)
-            return ApiResponse(200, body, request_id)
-
-    def _observe_health(self, observed: Dict[str, str], status: int,
-                        latency_s: float,
-                        trace_id: Optional[str]) -> None:
-        """Feed the health plane, when one is attached to monitoring."""
-        plane = self.monitoring.healthplane
-        if plane is not None:
-            plane.observe_request(tenant=observed["tenant"],
-                                  route=observed["route"], status=status,
-                                  latency_s=latency_s, trace_id=trace_id)
+                body = {"error": str(exc)}
+            span.set_attribute("http.status", status)
+            latency_s = self.clock.now - started
+            self.monitoring.metrics.incr(f"api.status.{status}")
+            self.monitoring.metrics.observe("api.latency", latency_s,
+                                            trace_id=span.trace_id)
+            trace = {} if span.trace_id is None else {"trace": span.trace_id}
+            self.monitoring.publish("gateway", "api.request", **observed,
+                                    status=status, latency_s=latency_s,
+                                    **trace)
+            return ApiResponse(status, body, request_id)
 
     def _handle(self, request: ApiRequest, request_id: str,
                 observed: Dict[str, str]) -> Any:

@@ -85,7 +85,8 @@ class CircuitBreaker:
         self.name = name
         self.policy = policy
         self.clock = clock
-        self.monitoring = monitoring
+        self.monitoring = (monitoring if monitoring is not None
+                           else MonitoringService(clock))
         self.state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
@@ -124,17 +125,14 @@ class CircuitBreaker:
 
     def _transition(self, state: BreakerState) -> None:
         self.state = state
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr(
-                f"resilience.breaker.{self.name}.{state.value}")
-            self.monitoring.log(
-                "resilience", f"breaker {self.name} -> {state.value}",
-                level="WARN" if state is BreakerState.OPEN else "INFO")
-            plane = self.monitoring.healthplane
-            if plane is not None:
-                plane.events.publish("resilience", "breaker.transition",
-                                     breaker=self.name, state=state.value,
-                                     failures=self._consecutive_failures)
+        self.monitoring.metrics.incr(
+            f"resilience.breaker.{self.name}.{state.value}")
+        self.monitoring.log(
+            "resilience", f"breaker {self.name} -> {state.value}",
+            level="WARN" if state is BreakerState.OPEN else "INFO")
+        self.monitoring.publish("resilience", "breaker.transition",
+                                breaker=self.name, state=state.value,
+                                failures=self._consecutive_failures)
 
 
 class ResilientExecutor:
@@ -202,8 +200,9 @@ class ResilientExecutor:
                     last_error = hedge.error
                     hedged = True
                     self._metric("resilience.hedged")
-                    self._publish("hedge.fired", operation=name,
-                                  from_target=target_name)
+                    self.monitoring.publish("resilience", "hedge.fired",
+                                            operation=name,
+                                            from_target=target_name)
                     span.add_event("hedge.fired", self.clock.now,
                                    from_target=target_name)
                 except Exception as exc:
@@ -271,8 +270,9 @@ class ResilientExecutor:
                     # The result stands — sequential simulation can't race
                     # them.
                     self._metric("resilience.hedge_would_fire")
-                    self._publish("hedge.would_fire", operation=name,
-                                  elapsed_s=elapsed)
+                    self.monitoring.publish(
+                        "resilience", "hedge.would_fire", operation=name,
+                        elapsed_s=elapsed)
                     span.add_event("hedge.would_fire", self.clock.now,
                                    elapsed_s=elapsed)
                 return result
@@ -283,12 +283,6 @@ class ResilientExecutor:
 
     def _metric(self, name: str) -> None:
         self.monitoring.metrics.incr(name)
-
-    def _publish(self, kind: str, **attributes: Any) -> None:
-        """Emit a lifecycle event when a health plane is attached."""
-        plane = self.monitoring.healthplane
-        if plane is not None:
-            plane.events.publish("resilience", kind, **attributes)
 
 
 class _HedgeNow(Exception):

@@ -92,7 +92,8 @@ class FederatedStudyService:
         self.clock = clock
         self.network = network
         self.scheduler = scheduler
-        self.monitoring = monitoring
+        self.monitoring = (monitoring if monitoring is not None
+                           else MonitoringService(clock))
         self.tracer = tracer
         self.institutions: Dict[str, Institution] = {
             inst.name: inst for inst in institutions}
@@ -349,9 +350,7 @@ class FederatedStudyService:
                     break
                 except ServiceUnavailableError:
                     local["upload_retries"] += 1
-                    if self.monitoring is not None:
-                        self.monitoring.metrics.incr(
-                            "federation.upload.retries")
+                    self.monitoring.metrics.incr("federation.upload.retries")
                     self.clock.advance(backoff)
                     backoff = min(backoff * 2.0, BACKOFF_CAP_S)
             else:
@@ -411,8 +410,7 @@ class FederatedStudyService:
         return None if local is None else local["tenant_id"]
 
     def _log(self, message: str) -> None:
-        if self.monitoring is not None:
-            self.monitoring.log("federation", message)
+        self.monitoring.log("federation", message)
 
 
 def result_digest(analysis: str, result: Any) -> str:

@@ -543,9 +543,9 @@ class ShardedIngestionFrontend:
             {"batch_id": batch_id, "merkle_root": buf["tree"].root_hex,
              "events": buf["events"]})))
         self._sealed_events += len(buf["events"])
-        self._publish("ingestion.batch_sealed",
-                      shard=self.network.shard_name(shard),
-                      batch=batch_id, events=len(buf["events"]))
+        self.monitoring.publish("ingestion", "ingestion.batch_sealed",
+                                shard=self.network.shard_name(shard),
+                                batch=batch_id, events=len(buf["events"]))
 
     def flush(self, round_size: Optional[int] = None,
               pipelined: bool = True) -> Optional[ShardedIngestReport]:
@@ -567,8 +567,9 @@ class ShardedIngestionFrontend:
             self.monitoring.metrics.set_gauge("ingestion.queue_depth", 0)
             return None
         sealed = list(self._sealed)
-        self._publish("ingestion.flush", batches=len(sealed),
-                      events=self._sealed_events)
+        self.monitoring.publish("ingestion", "ingestion.flush",
+                                batches=len(sealed),
+                                events=self._sealed_events)
         report = self.network.ingest(self.submitter, sealed,
                                      round_size=round_size,
                                      pipelined=pipelined)
@@ -576,9 +577,3 @@ class ShardedIngestionFrontend:
         self._sealed_events = 0
         self.monitoring.metrics.set_gauge("ingestion.queue_depth", 0)
         return report
-
-    def _publish(self, kind: str, **attributes: Any) -> None:
-        """Emit a lifecycle event when a health plane is attached."""
-        plane = self.monitoring.healthplane
-        if plane is not None:
-            plane.events.publish("ingestion", kind, **attributes)

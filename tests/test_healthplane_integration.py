@@ -1,8 +1,8 @@
 """End-to-end health-plane tests: every instrumented layer feeds the plane.
 
 The gateway, resilience executor, cache hierarchy, sharded blockchain,
-and ingestion frontend all publish through the optional
-``monitoring.healthplane`` hook; attaching a :class:`HealthPlane` must
+and ingestion frontend all publish through
+``MonitoringService.publish``; attaching a :class:`HealthPlane` must
 light all of them up without changing simulated time, and leaving it
 detached must cost nothing.
 """
