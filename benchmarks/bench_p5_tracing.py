@@ -13,8 +13,8 @@ measures where the simulated latency actually goes:
   the attribution shifts toward the knowledge/resilience layers;
 * the zero-cost contract: tracing only *reads* ``clock.now``, so a
   traced run ends at the bit-identical simulated time as an untraced
-  one, and the disabled hook (``maybe_span(None, ...)``) is cheap
-  enough to leave in every hot loop (asserted on wall clock, never
+  one, and the disabled hook (``MonitoringService.span`` with no tracer
+  attached) is cheap enough to leave in every hot loop (asserted on wall clock, never
   serialized — the JSON stays byte-deterministic).
 
 Standalone mode for CI::
@@ -34,7 +34,7 @@ from repro.caching.policies import make_cache
 from repro.cloudsim.clock import SimClock
 from repro.cloudsim.faults import FaultPlan
 from repro.cloudsim.monitoring import MonitoringService
-from repro.cloudsim.tracing import Tracer, maybe_span
+from repro.cloudsim.tracing import Tracer
 from repro.core.api import ApiGateway, ApiRequest, RouteSpec
 from repro.core.resilience import ResiliencePolicy, ResilientExecutor
 from repro.knowledge.remote import RemoteKnowledgeBase
@@ -76,7 +76,7 @@ def _world(traced=True, faulted=False):
     """The full request path behind one gateway route."""
     clock = SimClock()
     monitoring = MonitoringService(clock)
-    tracer = Tracer(clock) if traced else None
+    tracer = Tracer(monitoring) if traced else None
 
     rbac = RbacEngine()
     tenant = rbac.create_tenant("acme")
@@ -97,9 +97,9 @@ def _world(traced=True, faulted=False):
     executor = ResilientExecutor(
         ResiliencePolicy(timeout_s=5.0, max_attempts=3, jitter=0.0,
                          breaker_failure_threshold=1000, seed=SEED),
-        clock=clock, monitoring=monitoring, tracer=tracer)
-    remote = RemoteKnowledgeBase(_TermKb(), clock, resilience=executor)
-    remote.tracer = tracer
+        clock=clock, monitoring=monitoring)
+    remote = RemoteKnowledgeBase(_TermKb(), clock, resilience=executor,
+                                 monitoring=monitoring)
     if faulted:
         plan = FaultPlan(seed=SEED, clock=clock)
         plan.drop_link("cloud-a", "external-kb", drop_rate=DROP_RATE)
@@ -109,14 +109,13 @@ def _world(traced=True, faulted=False):
         [CacheLevel("client", make_cache("lru", 128), CLIENT_COST)],
         Origin("kb-origin", loader=lambda key: remote.call("lookup", key),
                access_cost_s=0.0),
-        clock=clock, monitoring=monitoring, tracer=tracer)
+        clock=clock, monitoring=monitoring)
 
     net = standard_network(seed=SEED, batch_size=1, clock=clock,
                            monitoring=monitoring)
-    net.tracer = tracer
 
     gateway = ApiGateway(rbac, federation, monitoring=monitoring,
-                         clock=clock, rate_limit=10 ** 9, tracer=tracer)
+                         clock=clock, rate_limit=10 ** 9)
 
     def lookup_handler(context, key):
         result = hierarchy.get(key)
@@ -201,9 +200,10 @@ def _sim_time_with_tracing(n_requests, traced):
 
 
 def _disabled_hook_wall_s(calls=NOOP_CALLS):
+    monitoring = MonitoringService()         # no tracer attached
     start = time.perf_counter()
     for _ in range(calls):
-        with maybe_span(None, "noop", "bench"):
+        with monitoring.span("noop", "bench"):
             pass
     return time.perf_counter() - start
 
@@ -263,7 +263,7 @@ def test_p5_tracing_is_free_in_simulated_time(benchmark):
     benchmark.extra_info["noop_calls"] = NOOP_CALLS
     show("P5: the zero-cost contract",
          [f"simulated end time traced {traced!r} vs untraced {untraced!r}",
-          f"{NOOP_CALLS} disabled maybe_span() calls: {wall:.3f}s wall"])
+          f"{NOOP_CALLS} untraced monitoring.span() calls: {wall:.3f}s wall"])
     assert traced == untraced
     assert wall < MAX_NOOP_WALL_S
 

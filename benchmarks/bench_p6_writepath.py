@@ -67,9 +67,7 @@ def _ingest(n_shards, n_events, traced=False):
     clock = SimClock()
     net = ShardedBlockchainNetwork(n_shards, seed=SEED, batch_size=8,
                                    clock=clock)
-    tracer = Tracer(clock) if traced else None
-    if tracer is not None:
-        net.tracer = tracer
+    tracer = Tracer(net.monitoring) if traced else None
     frontend = ShardedIngestionFrontend(net,
                                         events_per_batch=EVENTS_PER_BATCH)
     keys = zipf_trace(N_KEYS, n_events, skew=ZIPF_SKEW, seed=SEED)

@@ -67,7 +67,7 @@ FAST_WINDOW_S = 300.0           # page rule's short window = latency bound
 PHASES = {"full": (1800.0, 600.0, 600.0), "quick": (900.0, 300.0, 300.0)}
 
 
-def _build_world(clock, monitoring, tracer=None):
+def _build_world(clock, monitoring):
     """One gateway, N_TENANTS tenants (one reader each), one KB route."""
     rbac = RbacEngine()
     federation = FederatedIdentityService(rbac, clock)
@@ -90,7 +90,7 @@ def _build_world(clock, monitoring, tracer=None):
         subjects.append(subject)
         orgs.append((org, env, tenant.tenant_id))
     gateway = ApiGateway(rbac, federation, monitoring=monitoring,
-                         clock=clock, rate_limit=1_000_000, tracer=tracer)
+                         clock=clock, rate_limit=1_000_000)
     plan = FaultPlan(seed=SEED, clock=clock)
 
     def handler(context, **kw):
@@ -110,7 +110,7 @@ def _run_scenario(mode, with_plane=True):
     calm_s, fault_s, recovery_s = PHASES[mode]
     clock = SimClock()
     monitoring = MonitoringService(clock)
-    tracer = Tracer(clock)
+    Tracer(monitoring)      # latency exemplars carry trace ids
     plane = None
     dashboard = pager = None
     if with_plane:
@@ -121,8 +121,7 @@ def _run_scenario(mode, with_plane=True):
                                            maxlen=DASHBOARD_MAXLEN,
                                            kinds=["api.request"])
         pager = plane.events.subscribe("pager", kinds=["slo"])
-    gateway, idp, subjects, orgs, plan = _build_world(
-        clock, monitoring, tracer)
+    gateway, idp, subjects, orgs, plan = _build_world(clock, monitoring)
 
     total_s = calm_s + fault_s + recovery_s
     fault_start = calm_s

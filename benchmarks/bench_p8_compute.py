@@ -131,14 +131,13 @@ def _recovery(n_tasks):
     clock = SimClock()
     monitoring = MonitoringService(clock)
     plane = HealthPlane(monitoring)
-    tracer = Tracer(clock)
+    tracer = Tracer(monitoring)
     fault_plan = FaultPlan(seed=SEED, clock=clock)
     fault_plan.crash_node("compute-host-00", start_s=CRASH_START_S,
                           end_s=CRASH_END_S)
     scheduler = standard_scheduler(
-        clock=clock, monitoring=monitoring, tracer=tracer,
-        fault_plan=fault_plan, min_workers=4, max_workers=4,
-        autoscale=False)
+        clock=clock, monitoring=monitoring, fault_plan=fault_plan,
+        min_workers=4, max_workers=4, autoscale=False)
     job = scheduler.submit(_similarity_graph(n_tasks),
                            submitted_by="bench-p8")
     scheduler.run(job.job_id)

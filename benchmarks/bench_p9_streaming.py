@@ -127,8 +127,7 @@ def _sustained(run_seconds):
         registry=registry, queue_capacity=QUEUE_CAPACITY,
         policy_factory=lambda name: AdaptiveShedPolicy(seed=SEED),
         push_slo_threshold_s=PUSH_P99_SLO_S)
-    tracer = Tracer(network.clock)
-    pipeline.tracer = tracer
+    tracer = Tracer(pipeline.monitoring)
     plan = FaultPlan(seed=SEED, clock=network.clock)
     plan.drop_link("stream-worker", "orderer", LINK_DROP_RATE,
                    start_s=0.0, end_s=run_seconds)

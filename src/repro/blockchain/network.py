@@ -27,7 +27,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.errors import EndorsementError, LedgerError, ServiceUnavailableError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import maybe_span
 from ..crypto.merkle import MerklePath, MerkleTree
 from .chaincode import Chaincode, WorldState
 from .identity import MembershipServiceProvider
@@ -347,7 +346,6 @@ class BlockchainNetwork:
         # admitted under the reduced quorum, or it re-validates them with
         # the full policy, skips them, and diverges.
         self._degraded_committed: set = set()
-        self.tracer = None   # optional request-path tracing hook
         # Sharded deployments give each channel a name and tag its spans,
         # so traces over many channels attribute cost to the right shard.
         self.channel_name: Optional[str] = None
@@ -384,9 +382,9 @@ class BlockchainNetwork:
         :class:`EndorsementError` when the policy cannot be met.
         """
         tx = self._new_transaction(submitter, chaincode, method, args)
-        with maybe_span(self.tracer, "blockchain.endorse", "blockchain",
-                        tx=tx.tx_id, chaincode=chaincode,
-                        method=method, **self.span_tags) as span:
+        with self.monitoring.span("blockchain.endorse", "blockchain",
+                                  tx=tx.tx_id, chaincode=chaincode,
+                                  method=method, **self.span_tags) as span:
             endorsements = self._collect_endorsements([tx], span,
                                                       batched=False)
             span.set_attribute("endorsements", len(endorsements[0]))
@@ -412,9 +410,9 @@ class BlockchainNetwork:
                for chaincode, method, args in requests]
         if not txs:
             return []
-        with maybe_span(self.tracer, "blockchain.endorse_batch",
-                        "blockchain", transactions=len(txs),
-                        **self.span_tags) as span:
+        with self.monitoring.span("blockchain.endorse_batch",
+                                  "blockchain", transactions=len(txs),
+                                  **self.span_tags) as span:
             endorsements = self._collect_endorsements(txs, span,
                                                       batched=True)
         return self._order(txs, endorsements, batched=True)
@@ -544,8 +542,8 @@ class BlockchainNetwork:
     def flush(self) -> List[Block]:
         """Cut and commit every pending block (force the final partial one)."""
         committed: List[Block] = []
-        with maybe_span(self.tracer, "blockchain.commit", "blockchain",
-                        **self.span_tags) as span:
+        with self.monitoring.span("blockchain.commit", "blockchain",
+                                  **self.span_tags) as span:
             while True:
                 reference = self.peers[0].ledger if self.peers else None
                 height = reference.height if reference else 0

@@ -38,7 +38,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.errors import EndorsementError, LedgerError, ServiceUnavailableError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import maybe_span
 from .chaincode import (
     ConsentContract,
     CrossShardContract,
@@ -231,7 +230,6 @@ class ShardedBlockchainNetwork:
                             degraded_policy=degraded_policy)
             for shard in range(n_shards)
         ]
-        self._tracer = None
 
     @staticmethod
     def shard_name(shard: int) -> str:
@@ -240,16 +238,6 @@ class ShardedBlockchainNetwork:
     @property
     def n_shards(self) -> int:
         return len(self.channels)
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer
-        for channel in self.channels:
-            channel.tracer = tracer
 
     def channel_for(self, routing_key: str) -> BlockchainNetwork:
         return self.channels[self.router.shard_for(routing_key)]
@@ -306,9 +294,9 @@ class ShardedBlockchainNetwork:
             assignment.setdefault(shard, []).append(request)
         shard_reports: Dict[str, PipelineReport] = {}
         makespans: List[float] = []
-        with maybe_span(self.tracer, "blockchain.sharded_ingest",
-                        "blockchain", shards=len(assignment),
-                        transactions=len(keyed)) as span:
+        with self.monitoring.span("blockchain.sharded_ingest",
+                                  "blockchain", shards=len(assignment),
+                                  transactions=len(keyed)) as span:
             for shard in sorted(assignment):
                 channel = self.channels[shard]
                 name = self.shard_name(shard)

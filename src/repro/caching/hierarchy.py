@@ -33,7 +33,6 @@ from typing import (Any, Callable, Dict, Generic, Hashable, Iterable, List,
 from ..core.errors import ConfigurationError, NotFoundError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import Tracer, maybe_span
 from .policies import Cache, CacheStats
 
 K = TypeVar("K", bound=Hashable)
@@ -135,8 +134,7 @@ class CacheHierarchy(Generic[K, V]):
                  clock: Optional[SimClock] = None,
                  promote: bool = True,
                  negative_ttl_s: float = 0.0,
-                 monitoring: Optional[MonitoringService] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 monitoring: Optional[MonitoringService] = None) -> None:
         if not levels:
             raise ConfigurationError("hierarchy needs at least one level")
         if negative_ttl_s < 0:
@@ -148,7 +146,6 @@ class CacheHierarchy(Generic[K, V]):
         self.negative_ttl_s = negative_ttl_s
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
-        self.tracer = tracer
         self._inflight: Dict[K, _Flight] = {}
         self._negative: Dict[K, float] = {}     # key -> expiry time
         # Hierarchy-level accounting: get_many and coalesced requests do
@@ -175,8 +172,8 @@ class CacheHierarchy(Generic[K, V]):
             self.clock.advance_to(start)
         self.requests += 1
 
-        with maybe_span(self.tracer, "cache.get", "cache",
-                        key=str(key)) as span:
+        with self.monitoring.span("cache.get", "cache",
+                                  key=str(key)) as span:
             joined = self._join_flight(key, start)
             if joined is not None:
                 span.set_attribute("served_by", joined.served_by)
@@ -205,8 +202,8 @@ class CacheHierarchy(Generic[K, V]):
 
             span.set_attribute("served_by", self.origin.name)
             span.set_attribute("levels_probed", probed)
-            with maybe_span(self.tracer, "cache.origin_fetch", "cache",
-                            origin=self.origin.name, keys=1):
+            with self.monitoring.span("cache.origin_fetch", "cache",
+                                      origin=self.origin.name, keys=1):
                 self.clock.advance(self.origin.access_cost_s
                                    + self.origin.per_item_cost_s)
                 self.origin_loads += 1
@@ -242,8 +239,8 @@ class CacheHierarchy(Generic[K, V]):
         self.batched_lookups += 1
         self.monitoring.metrics.incr("cache.batched_lookups")
         self.requests += len(all_keys)
-        with maybe_span(self.tracer, "cache.get_many", "cache",
-                        keys=len(all_keys)) as span:
+        with self.monitoring.span("cache.get_many", "cache",
+                                  keys=len(all_keys)) as span:
             result = self._get_many(all_keys, start)
             span.set_attribute("origin_keys", result.origin_keys)
             span.set_attribute("coalesced", result.coalesced)
@@ -304,8 +301,9 @@ class CacheHierarchy(Generic[K, V]):
 
         origin_keys = len(remaining)
         if remaining:
-            with maybe_span(self.tracer, "cache.origin_fetch", "cache",
-                            origin=self.origin.name, keys=len(remaining)):
+            with self.monitoring.span("cache.origin_fetch", "cache",
+                                      origin=self.origin.name,
+                                      keys=len(remaining)):
                 self.clock.advance(
                     self.origin.access_cost_s
                     + self.origin.per_item_cost_s * len(remaining))

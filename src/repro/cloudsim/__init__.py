@@ -55,7 +55,6 @@ from .tracing import (
     SpanEvent,
     TraceContext,
     Tracer,
-    maybe_span,
 )
 from .nodes import (
     Container,
@@ -109,7 +108,6 @@ __all__ = [
     "SpanEvent",
     "TraceContext",
     "Tracer",
-    "maybe_span",
     "Link",
     "NetworkFabric",
     "TransferRecord",

@@ -114,7 +114,8 @@ class EventBus:
                  history: int = 1024) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.seed = seed
-        self.monitoring = monitoring
+        self.monitoring = (monitoring if monitoring is not None
+                           else MonitoringService(self.clock))
         self.published = 0
         self.dropped = 0
         self.by_source: Dict[str, int] = {}
@@ -168,16 +169,13 @@ class EventBus:
                 # Mirror clean deliveries too, so every subscriber has a
                 # good/bad counter pair the healthplane can turn into a
                 # drop-rate SLO (see HealthPlane.register_subscriber_slo).
-                if self.monitoring is not None:
-                    self.monitoring.metrics.incr(
-                        f"healthplane.events.delivered.{subscription.name}")
+                self.monitoring.metrics.incr(
+                    f"healthplane.events.delivered.{subscription.name}")
             else:
                 self.dropped += 1
-                if self.monitoring is not None:
-                    self.monitoring.metrics.incr(
-                        f"healthplane.events.dropped.{subscription.name}")
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr("healthplane.events.published")
+                self.monitoring.metrics.incr(
+                    f"healthplane.events.dropped.{subscription.name}")
+        self.monitoring.metrics.incr("healthplane.events.published")
         return event
 
     def recent(self, limit: Optional[int] = None) -> List[PlatformEvent]:

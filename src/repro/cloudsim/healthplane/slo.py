@@ -148,7 +148,8 @@ class SloEvaluator:
         self.store = store
         self.clock = clock if clock is not None else store.clock
         self.events = events
-        self.monitoring = monitoring
+        self.monitoring = (monitoring if monitoring is not None
+                           else MonitoringService(self.clock))
         self._objectives: Dict[str, SloObjective] = {}
         self._active: Dict[Tuple[str, str], Alert] = {}
         self.alerts: List[Alert] = []
@@ -221,17 +222,15 @@ class SloEvaluator:
         )
         self._active[(objective.name, rule.name)] = alert
         self.alerts.append(alert)
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr(
-                f"healthplane.alerts.{alert.severity}")
-            self.monitoring.log(
-                "healthplane",
-                f"{alert.severity.upper()} {alert.alert_id}: slo "
-                f"{alert.slo} rule {alert.rule} burning at "
-                f"{alert.short_burn:.1f}x/{alert.long_burn:.1f}x "
-                f"(threshold {alert.factor}x)",
-                level="ERROR" if rule.severity is Severity.PAGE else "WARN",
-                alert=alert.alert_id)
+        self.monitoring.metrics.incr(f"healthplane.alerts.{alert.severity}")
+        self.monitoring.log(
+            "healthplane",
+            f"{alert.severity.upper()} {alert.alert_id}: slo "
+            f"{alert.slo} rule {alert.rule} burning at "
+            f"{alert.short_burn:.1f}x/{alert.long_burn:.1f}x "
+            f"(threshold {alert.factor}x)",
+            level="ERROR" if rule.severity is Severity.PAGE else "WARN",
+            alert=alert.alert_id)
         if self.events is not None:
             self.events.publish("healthplane", "slo.alert",
                                 **alert.to_dict())
@@ -239,8 +238,7 @@ class SloEvaluator:
 
     def _resolve(self, key: Tuple[str, str], alert: Alert) -> None:
         del self._active[key]
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr("healthplane.alerts.resolved")
+        self.monitoring.metrics.incr("healthplane.alerts.resolved")
         if self.events is not None:
             self.events.publish("healthplane", "slo.alert_resolved",
                                 alert_id=alert.alert_id, slo=alert.slo,

@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError, IntegrityError
 from .clock import SimClock
+from .tracing import NOOP_SPAN, TraceContext, Tracer
 
 # Patterns that must never appear in logs (PHI scrubbing, Section IV-E:
 # "logged events cannot contain sensitive data").
@@ -300,6 +301,7 @@ class MonitoringService:
         self.logs = LogStore(self.clock)
         self.metrics = MetricsRegistry()
         self._plane: Optional[Any] = None      # see attach()
+        self._tracer: Optional[Tracer] = None  # see attach_tracer()
 
     def attach(self, plane: Any) -> None:
         """Route every :meth:`publish` to ``plane.receive``.
@@ -321,6 +323,33 @@ class MonitoringService:
         """
         if self._plane is not None:
             self._plane.receive(source, kind, attributes)
+
+    def attach_tracer(self, tracer: Tracer) -> None:
+        """Route every :meth:`span` to ``tracer``.
+
+        A service feeds one tracer: a second would split one request's
+        spans across two trees.
+        """
+        if self._tracer is not None:
+            raise ConfigurationError(
+                "a tracer is already attached to this monitoring service")
+        self._tracer = tracer
+
+    def span(self, name: str, layer: str, **attributes: Any) -> Any:
+        """Open a span named ``name`` for platform layer ``layer``.
+
+        The one tracing entry point for layers: a context manager under
+        the attached tracer, or the shared no-op span with none attached.
+        """
+        if self._tracer is None:
+            return NOOP_SPAN
+        return self._tracer.span(name, layer, **attributes)
+
+    def trace_context(self) -> Optional[TraceContext]:
+        """The attached tracer's innermost active span, if any."""
+        if self._tracer is None:
+            return None
+        return self._tracer.current_context()
 
     def log(self, stream: str, message: str, level: str = "INFO",
             **attributes: Any) -> LogEntry:

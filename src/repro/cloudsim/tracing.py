@@ -13,10 +13,10 @@ Design constraints, in order:
 * **Zero simulated latency.** The tracer only ever *reads* ``clock.now``;
   it never advances the clock.  Simulated latencies with tracing enabled
   are bit-identical to tracing disabled (the P5 bench asserts this).
-* **Near-zero cost when disabled.** Components hold an optional
-  ``tracer`` attribute (``None`` by default, like the chaos layer's
-  ``fault_plan`` hooks); :func:`maybe_span` returns one shared no-op
-  context manager when no tracer is bound.
+* **Near-zero cost when disabled.** A tracer attaches to one
+  :class:`~repro.cloudsim.monitoring.MonitoringService`, and layers open
+  spans through :meth:`~repro.cloudsim.monitoring.MonitoringService.span`,
+  which returns one shared no-op context manager when none is attached.
 * **Tamper evidence.** When a trace finishes, every span is sealed with
   a hash over its own fields plus its children's hashes (Merkle-style,
   bottom-up), so the root hash commits to the whole tree — the property
@@ -39,10 +39,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import IntegrityError, NotFoundError
-from .clock import SimClock
+
+if TYPE_CHECKING:
+    from .monitoring import MonitoringService
 
 GENESIS_HASH = "0" * 64
 
@@ -253,44 +255,32 @@ class _ActiveSpan:
         return None
 
 
-def maybe_span(tracer: Optional["Tracer"], name: str, layer: str,
-               **attributes: Any) -> Any:
-    """A span under ``tracer``, or the shared no-op when tracing is off.
-
-    The single hook components call; ``tracer is None`` costs one
-    comparison and no allocation.
-    """
-    if tracer is None or not tracer.enabled:
-        return NOOP_SPAN
-    return tracer.span(name, layer, **attributes)
-
-
 class Tracer:
     """Builds, stores, seals, and analyses span trees on a SimClock.
 
-    A span started while another is active becomes its child; a span
-    started with no active span roots a new trace.  Finished traces are
-    kept (bounded by ``max_traces``, oldest dropped) for critical-path
-    analysis, export, and exemplar resolution.
+    The tracer attaches itself to ``monitoring`` and times spans on
+    ``monitoring.clock``; every layer sharing that service opens its
+    spans here.  A span started while another is active becomes its
+    child; a span started with no active span roots a new trace.
+    Finished traces are kept (bounded by ``max_traces``, oldest dropped)
+    for critical-path analysis, export, and exemplar resolution.
     """
 
-    def __init__(self, clock: Optional[SimClock] = None,
-                 enabled: bool = True, max_traces: int = 10_000) -> None:
-        self.clock = clock if clock is not None else SimClock()
-        self.enabled = enabled
+    def __init__(self, monitoring: "MonitoringService",
+                 max_traces: int = 10_000) -> None:
+        self.clock = monitoring.clock
         self.max_traces = max_traces
         self._stack: List[Span] = []
         self._traces: Dict[str, Span] = {}      # finished, keyed by trace id
         self._trace_order: List[str] = []
         self._trace_counter = 0
         self._span_counter = 0
+        monitoring.attach_tracer(self)
 
     # -- recording -----------------------------------------------------------
 
     def span(self, name: str, layer: str, **attributes: Any) -> Any:
         """Open a span (context manager yielding the :class:`Span`)."""
-        if not self.enabled:
-            return NOOP_SPAN
         parent = self._stack[-1] if self._stack else None
         if parent is None:
             self._trace_counter += 1
@@ -406,10 +396,3 @@ class Tracer:
         return json.dumps(self.get_trace(trace_id).to_dict(),
                           sort_keys=True, separators=(",", ":"),
                           default=str)
-
-    # -- wiring --------------------------------------------------------------
-
-    def bind(self, *components: Any) -> None:
-        """Attach this tracer to every component's ``tracer`` hook."""
-        for component in components:
-            component.tracer = self

@@ -29,10 +29,11 @@ Scheduling properties:
   objects are recomputed by re-running their producer tasks (idempotent
   ones re-run on surviving nodes; a non-idempotent replay fails the job
   with :class:`~repro.core.errors.NonIdempotentReplayError`);
-* **attribution** — when a tracer is bound, every attempt contributes a
-  span tiled into queue/scheduling/transfer/execution children under the
-  job's root span, so critical-path attribution covers the whole compute
-  path and still sums to exactly 100%.
+* **attribution** — when a tracer is attached to the scheduler's
+  monitoring service, every attempt contributes a span tiled into
+  queue/scheduling/transfer/execution children under the job's root
+  span, so critical-path attribution covers the whole compute path and
+  still sums to exactly 100%.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import Span, Tracer, maybe_span
+from ..cloudsim.tracing import NOOP_SPAN, Span
 from ..core.errors import (
     ComputeError,
     ConfigurationError,
@@ -156,7 +157,6 @@ class Scheduler:
 
     def __init__(self, pool: WorkerPool, clock: Optional[SimClock] = None,
                  monitoring: Optional[MonitoringService] = None,
-                 tracer: Optional[Tracer] = None,
                  fault_plan=None, *,
                  min_workers: int = 1, max_workers: int = 8,
                  tasks_per_worker: int = 4, queue_bound: int = 64,
@@ -175,7 +175,6 @@ class Scheduler:
         self.clock = clock if clock is not None else SimClock()
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
-        self.tracer = tracer
         self.fault_plan = fault_plan
         self.min_workers = min_workers
         self.max_workers = max_workers
@@ -300,10 +299,10 @@ class Scheduler:
         if job.finished:                      # empty graph succeeds at start
             self._gauges()
             return job
-        with maybe_span(self.tracer, "compute.job", "compute",
-                        job_id=job.job_id, graph=job.graph.name) as root:
-            if getattr(root, "trace_id", None) is not None:
-                job.trace_id = root.trace_id
+        with self.monitoring.span("compute.job", "compute",
+                                  job_id=job.job_id,
+                                  graph=job.graph.name) as root:
+            job.trace_id = root.trace_id
             while not job.finished:
                 self._step_job(job, root)
         self._gauges()
@@ -321,7 +320,7 @@ class Scheduler:
         if job.state in (JobState.PENDING,):
             self._start(job)
         if not job.finished:
-            self._step_job(job, None)
+            self._step_job(job, NOOP_SPAN)
         return not job.finished
 
     # -- internals: lifecycle -------------------------------------------------
@@ -694,7 +693,7 @@ class Scheduler:
     def _attach_spans(self, job: Job, attempt: _Attempt, root: Any,
                       status: str, error: str = "") -> None:
         """Tile one attempt into queue/sched/transfer/exec child spans."""
-        if root is None or getattr(root, "trace_id", None) is None:
+        if root.trace_id is None:
             return
         end = attempt.t_done if attempt.fail_at is None else attempt.fail_at
         span = self._span(root, root,
@@ -766,7 +765,6 @@ class Scheduler:
 
 def standard_scheduler(*, clock: Optional[SimClock] = None,
                        monitoring: Optional[MonitoringService] = None,
-                       tracer: Optional[Tracer] = None,
                        fault_plan=None, hosts: int = 4,
                        provision_delay_s: float = 0.250,
                        **kwargs: Any) -> Scheduler:
@@ -778,7 +776,10 @@ def standard_scheduler(*, clock: Optional[SimClock] = None,
     """
     from .pool import standard_pool
 
+    if monitoring is None:    # the pool and the scheduler log to one service
+        clock = clock if clock is not None else SimClock()
+        monitoring = MonitoringService(clock)
     pool = standard_pool(hosts=hosts, monitoring=monitoring,
                          provision_delay_s=provision_delay_s)
     return Scheduler(pool, clock=clock, monitoring=monitoring,
-                     tracer=tracer, fault_plan=fault_plan, **kwargs)
+                     fault_plan=fault_plan, **kwargs)

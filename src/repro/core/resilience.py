@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import Tracer, maybe_span
 from .errors import ConfigurationError, DeadlineExceededError, ServiceUnavailableError
 
 
@@ -147,13 +146,11 @@ class ResilientExecutor:
 
     def __init__(self, policy: Optional[ResiliencePolicy] = None,
                  clock: Optional[SimClock] = None,
-                 monitoring: Optional[MonitoringService] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 monitoring: Optional[MonitoringService] = None) -> None:
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.clock = clock if clock is not None else SimClock()
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
-        self.tracer = tracer
         self._rng = random.Random(self.policy.seed)
         self._breakers: Dict[str, CircuitBreaker] = {}
         self.retries_left = self.policy.retry_budget
@@ -175,8 +172,9 @@ class ResilientExecutor:
         targets: list = [(name, fn)] + list(fallbacks)
         last_error: Optional[Exception] = None
         hedged = False
-        with maybe_span(self.tracer, f"resilience.{name}", "resilience",
-                        target=name, fallbacks=len(fallbacks)) as span:
+        with self.monitoring.span(f"resilience.{name}", "resilience",
+                                  target=name,
+                                  fallbacks=len(fallbacks)) as span:
             for index, (target_name, target_fn) in enumerate(targets):
                 breaker = self.breaker(target_name)
                 if not breaker.allow():
@@ -222,8 +220,8 @@ class ResilientExecutor:
         policy = self.policy
         last_error: Optional[Exception] = None
         for attempt in range(policy.max_attempts):
-            with maybe_span(self.tracer, "resilience.attempt", "resilience",
-                            target=name, attempt=attempt) as span:
+            with self.monitoring.span("resilience.attempt", "resilience",
+                                      target=name, attempt=attempt) as span:
                 if attempt > 0:
                     if self.retries_left <= 0:
                         self._metric("resilience.budget_exhausted")

@@ -32,7 +32,6 @@ import numpy as np
 
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import maybe_span
 from ..compute.graph import TaskGraph
 from ..compute.scheduler import Scheduler
 from ..core.errors import (
@@ -86,7 +85,7 @@ class FederatedStudyService:
                  scheduler: Scheduler,
                  institutions: Sequence[Institution],
                  monitoring: Optional[MonitoringService] = None,
-                 tracer=None, seed: int = 0,
+                 seed: int = 0,
                  jmf_config: Optional[JmfStudyConfig] = None,
                  delt_config: Optional[DeltStudyConfig] = None) -> None:
         self.clock = clock
@@ -94,7 +93,6 @@ class FederatedStudyService:
         self.scheduler = scheduler
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(clock))
-        self.tracer = tracer
         self.institutions: Dict[str, Institution] = {
             inst.name: inst for inst in institutions}
         self.jmf_config = jmf_config
@@ -257,9 +255,10 @@ class FederatedStudyService:
                 f"approvals; cannot run")
         self._invoke(study_id, "start", study_id=study_id,
                      started_at=self.clock.now)
-        with maybe_span(self.tracer, "federation.study", "federation",
-                        study=study_id, analysis=local["analysis"]) as span:
-            local["trace_id"] = getattr(span, "trace_id", None)
+        with self.monitoring.span("federation.study", "federation",
+                                  study=study_id,
+                                  analysis=local["analysis"]) as span:
+            local["trace_id"] = span.trace_id
             from .analytics import federated_delt, federated_jmf
             if local["analysis"] == "jmf":
                 if self.jmf_config is None:
@@ -294,8 +293,8 @@ class FederatedStudyService:
         """Run one secure-aggregation round; returns the combined vector."""
         local = self._known(study_id)
         participants = local["participants"]
-        with maybe_span(self.tracer, "federation.round", "federation",
-                        study=study_id, round=round_tag):
+        with self.monitoring.span("federation.round", "federation",
+                                  study=study_id, round=round_tag):
             uploads = self._compute_phase(local, round_tag, compute_fn,
                                           cost_s)
             delivered = self._delivery_phase(local, uploads)

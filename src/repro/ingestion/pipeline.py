@@ -32,7 +32,6 @@ from ..blockchain.network import BlockchainNetwork
 from ..blockchain.sharding import ShardedBlockchainNetwork, ShardedIngestReport
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import maybe_span
 from ..core.errors import (
     AuthenticationError,
     IngestionError,
@@ -175,7 +174,6 @@ class IngestionService:
         # flush instead of one endorsed transaction per event; 1 keeps the
         # paper's original event-per-transaction behaviour.
         self.provenance_batch_size = provenance_batch_size
-        self.tracer = None   # optional request-path tracing hook
         self._event_buffer: List[Dict[str, Any]] = []
         # Leaves of the buffered events, hashed as they arrive: flushing a
         # batch reads the running root in O(log n) instead of rebuilding
@@ -245,15 +243,15 @@ class IngestionService:
         batch_size = max(1, batch_size)
         processed = 0
         in_batch = 0
-        with maybe_span(self.tracer, "ingestion.process_pending",
-                        "ingestion", batch_size=batch_size) as span:
+        with self.monitoring.span("ingestion.process_pending",
+                                  "ingestion", batch_size=batch_size) as span:
             while self._queue and (limit is None or processed < limit):
                 job_id = self._queue.popleft()
                 self.monitoring.metrics.set_gauge("ingestion.queue_depth",
                                                   len(self._queue))
                 job = self._jobs[job_id]
-                with maybe_span(self.tracer, "ingestion.job", "ingestion",
-                                job=job_id) as job_span:
+                with self.monitoring.span("ingestion.job", "ingestion",
+                                          job=job_id) as job_span:
                     self._process(job)
                     job_span.set_attribute("status", job.status.value)
                 processed += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..cloudsim.clock import SimClock, WAN_ROUND_TRIP
-from ..cloudsim.tracing import maybe_span
+from ..cloudsim.monitoring import MonitoringService
 from ..caching.policies import Cache, LruCache
 from ..core.errors import ServiceUnavailableError
 
@@ -35,9 +35,12 @@ class RemoteKnowledgeBase:
                  round_trip_s: float = WAN_ROUND_TRIP,
                  link: Tuple[str, str] = ("cloud-a", "external-kb"),
                  resilience: Optional[Any] = None,
-                 per_item_cost_s: float = 2e-4) -> None:
+                 per_item_cost_s: float = 2e-4,
+                 monitoring: Optional[MonitoringService] = None) -> None:
         self._base = base
         self.clock = clock if clock is not None else SimClock()
+        self.monitoring = (monitoring if monitoring is not None
+                           else MonitoringService(self.clock))
         self.round_trip_s = round_trip_s
         self.per_item_cost_s = per_item_cost_s
         self.remote_calls = 0
@@ -47,7 +50,6 @@ class RemoteKnowledgeBase:
         self.link = link
         self.fault_plan = None
         self.resilience = resilience
-        self.tracer = None   # optional request-path tracing hook
 
     def call(self, method: str, *args: Hashable) -> Any:
         """Invoke a KB method remotely (clock advances by one round trip)."""
@@ -73,8 +75,8 @@ class RemoteKnowledgeBase:
         return self._call_batch_once(method, items)
 
     def _call_once(self, method: str, *args: Hashable) -> Any:
-        with maybe_span(self.tracer, "kb.call", "knowledge",
-                        kb=self.name, method=method) as span:
+        with self.monitoring.span("kb.call", "knowledge",
+                                  kb=self.name, method=method) as span:
             round_trip = self.round_trip_s
             if self.fault_plan is not None:
                 round_trip *= self.fault_plan.latency_multiplier(*self.link)
@@ -91,9 +93,9 @@ class RemoteKnowledgeBase:
             return getattr(self._base, method)(*args)
 
     def _call_batch_once(self, method: str, items: Sequence[Hashable]) -> Any:
-        with maybe_span(self.tracer, "kb.call_batch", "knowledge",
-                        kb=self.name, method=method,
-                        items=len(items)) as span:
+        with self.monitoring.span("kb.call_batch", "knowledge",
+                                  kb=self.name, method=method,
+                                  items=len(items)) as span:
             round_trip = self.round_trip_s + self.per_item_cost_s * len(items)
             if self.fault_plan is not None:
                 round_trip *= self.fault_plan.latency_multiplier(*self.link)

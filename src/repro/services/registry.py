@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cloudsim.clock import SimClock
-from ..cloudsim.tracing import maybe_span
 from ..core.errors import ConfigurationError, ServiceUnavailableError
 
 
@@ -114,7 +113,6 @@ class ServiceRegistry:
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.tracer = None   # optional request-path tracing hook
         self._services: Dict[str, SimulatedAiService] = {}
         self._calls: Dict[str, List[ServiceCallRecord]] = {}
         self._accuracy: Dict[str, float] = {}
@@ -159,8 +157,8 @@ class ServiceRegistry:
         breakers are skipped at *selection* time too, so a known-bad
         provider stops being picked until its half-open probe succeeds.
         """
-        with maybe_span(self.tracer, "services.invoke_resilient", "services",
-                        capability=capability) as span:
+        with executor.monitoring.span("services.invoke_resilient", "services",
+                                      capability=capability) as span:
             ranked = self.ranked_services(capability)
             open_skipped = [name for name in ranked
                             if not executor.breaker(f"ai.{name}").allow()]

@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import maybe_span
 from ..ingestion.pipeline import ShardedIngestionFrontend
 from .feed import StreamEvent
 from .incremental import StreamingAnalytics
@@ -81,8 +80,7 @@ class StreamingPipeline:
         self.push_slo_threshold_s = push_slo_threshold_s
         self.commit_retries = commit_retries
         self.retry_backoff_s = retry_backoff_s
-        # Optional hooks, attached post-construction (tracer.bind / chaos).
-        self.tracer = None
+        # Optional chaos hook, attached post-construction.
         self.fault_plan = None
         self._queues: Dict[int, StreamQueue] = {}
         self.arrivals = 0
@@ -190,23 +188,23 @@ class StreamingPipeline:
     def _process(self, event: StreamEvent) -> None:
         """One event through admit → commit → update → push, fully traced."""
         wait_s = self.clock.now - event.arrival_s
-        with maybe_span(self.tracer, "streaming.process", "streaming",
-                        event_id=event.event_id,
-                        event_class=event.event_class,
-                        queue_wait_s=wait_s) as root:
-            with maybe_span(self.tracer, "streaming.admit",
-                            "streaming.queue"):
+        with self.monitoring.span("streaming.process", "streaming",
+                                  event_id=event.event_id,
+                                  event_class=event.event_class,
+                                  queue_wait_s=wait_s) as root:
+            with self.monitoring.span("streaming.admit",
+                                      "streaming.queue"):
                 self.clock.advance(ADMIT_COST_S)
-            with maybe_span(self.tracer, "streaming.commit",
-                            "streaming.commit") as span:
+            with self.monitoring.span("streaming.commit",
+                                      "streaming.commit") as span:
                 self._commit(event, span)
-            with maybe_span(self.tracer, "streaming.update",
-                            "streaming.analytics") as span:
+            with self.monitoring.span("streaming.update",
+                                      "streaming.analytics") as span:
                 cost = self.analytics.apply(event)
                 span.set_attribute("update_cost_s", cost)
                 self.clock.advance(cost)
-            with maybe_span(self.tracer, "streaming.push",
-                            "streaming.push") as span:
+            with self.monitoring.span("streaming.push",
+                                      "streaming.push") as span:
                 self.clock.advance(PUSH_COST_S)
                 self._push(event, root, span)
             self.last_trace_id = root.trace_id

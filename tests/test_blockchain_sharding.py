@@ -164,8 +164,7 @@ class TestShardedTraceAttribution:
     def test_sharded_ingest_attribution_sums_to_100(self):
         clock = SimClock()
         net = ShardedBlockchainNetwork(4, seed=0, batch_size=8, clock=clock)
-        tracer = Tracer(clock)
-        net.tracer = tracer
+        tracer = Tracer(net.monitoring)
         report = net.ingest("ingestion-service", _keyed_requests(40),
                             round_size=8)
         root = tracer.get_trace("t-00000001")
@@ -187,7 +186,7 @@ class TestShardedTraceAttribution:
         clock = SimClock()
         traced_net = ShardedBlockchainNetwork(4, seed=0, batch_size=8,
                                               clock=clock)
-        traced_net.tracer = Tracer(clock)
+        Tracer(traced_net.monitoring)
         traced = traced_net.ingest("ingestion-service", _keyed_requests(40),
                                    round_size=8)
         assert traced.elapsed_s == pytest.approx(plain.elapsed_s)

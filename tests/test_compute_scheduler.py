@@ -35,11 +35,10 @@ def make_world(**kwargs):
     clock = SimClock()
     monitoring = MonitoringService(clock)
     plane = HealthPlane(monitoring)
-    tracer = Tracer(clock)
+    tracer = Tracer(monitoring)
     fault_plan = FaultPlan(seed=0, clock=clock)
     scheduler = standard_scheduler(clock=clock, monitoring=monitoring,
-                                   tracer=tracer, fault_plan=fault_plan,
-                                   **kwargs)
+                                   fault_plan=fault_plan, **kwargs)
     return scheduler, clock, monitoring, plane, tracer, fault_plan
 
 

@@ -13,6 +13,7 @@ from repro.blockchain import ShardedBlockchainNetwork
 from repro.caching import CacheHierarchy, CacheLevel, LruCache, Origin
 from repro.cloudsim.clock import SimClock
 from repro.cloudsim.healthplane import HealthPlane
+from repro.cloudsim.healthplane.events import EventBus
 from repro.cloudsim.monitoring import MonitoringService
 from repro.compute import TaskGraph
 from repro.compute.scheduler import standard_scheduler
@@ -130,6 +131,25 @@ class TestDefaultMonitoring:
         metrics = scheduler.monitoring.metrics
         assert metrics.counter("compute.jobs.succeeded") == 1
         assert metrics.counter("compute.tasks.succeeded") == 1
+
+    def test_scheduler_pool_logs_to_the_scheduler_monitoring(self):
+        clock = SimClock()
+        clock.advance(100.0)
+        scheduler = standard_scheduler(clock=clock)
+        job = scheduler.submit(_graph())
+        scheduler.run(job.job_id)
+        provisioning = scheduler.monitoring.logs.entries(
+            stream="provisioning")
+        assert provisioning
+        assert all(entry.timestamp >= 100.0 for entry in provisioning)
+
+    def test_bare_event_bus_counts_on_its_own_monitoring(self):
+        bus = EventBus(SimClock())
+        bus.subscribe("all")
+        bus.publish("test", "probe.sent")
+        metrics = bus.monitoring.metrics
+        assert metrics.counter("healthplane.events.published") == 1
+        assert metrics.counter("healthplane.events.delivered.all") == 1
 
     def test_cache_hierarchy_records_on_its_own_monitoring(self):
         hierarchy = CacheHierarchy(

@@ -27,7 +27,7 @@ def build_world(n_institutions=3, sharded=False, seed=5, n_patients=24,
                 max_iterations=2):
     clock = SimClock()
     monitoring = MonitoringService(clock)
-    tracer = Tracer(clock)
+    tracer = Tracer(monitoring)
     cohort = generate_emr_cohort(n_patients=n_patients, n_drugs=N_DRUGS,
                                  n_lowering=2, seed=seed)
     institutions = build_institutions(n_institutions, clock, GROUP,
@@ -38,13 +38,10 @@ def build_world(n_institutions=3, sharded=False, seed=5, n_patients=24,
     else:
         network = standard_network(seed=seed, clock=clock,
                                    monitoring=monitoring)
-    network.tracer = tracer
-    scheduler = standard_scheduler(clock=clock, monitoring=monitoring,
-                                   tracer=tracer)
+    scheduler = standard_scheduler(clock=clock, monitoring=monitoring)
     service = FederatedStudyService(
         clock=clock, network=network, scheduler=scheduler,
-        institutions=institutions, monitoring=monitoring, tracer=tracer,
-        seed=seed,
+        institutions=institutions, monitoring=monitoring, seed=seed,
         delt_config=DeltStudyConfig(n_drugs=N_DRUGS,
                                     max_iterations=max_iterations))
     return service, institutions, network, tracer

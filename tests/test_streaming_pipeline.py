@@ -93,8 +93,7 @@ class TestLedger:
 class TestTracing:
     def test_attribution_sums_to_exactly_100(self):
         network, pipeline, feed = _world()
-        tracer = Tracer(network.clock)
-        pipeline.tracer = tracer
+        tracer = Tracer(pipeline.monitoring)
         pipeline.run(feed.events(5.0))
         assert pipeline.last_trace_id is not None
         percentages = tracer.critical_path(
@@ -106,12 +105,12 @@ class TestTracing:
 
     def test_worst_wait_has_trace_exemplar(self):
         network, pipeline, feed = _world()
-        pipeline.tracer = Tracer(network.clock)
+        tracer = Tracer(pipeline.monitoring)
         pipeline.run(feed.events(5.0))
         exemplar = network.monitoring.metrics.exemplar(
             "streaming.queue.wait_s")
         assert exemplar is not None
-        assert pipeline.tracer.has_trace(exemplar["trace_id"])
+        assert tracer.has_trace(exemplar["trace_id"])
 
 
 class TestChaos:

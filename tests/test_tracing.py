@@ -13,12 +13,7 @@ from repro.caching.policies import LruCache
 from repro.cloudsim.clock import SimClock
 from repro.cloudsim.faults import FaultPlan
 from repro.cloudsim.monitoring import MonitoringService
-from repro.cloudsim.tracing import (
-    NOOP_SPAN,
-    TraceContext,
-    Tracer,
-    maybe_span,
-)
+from repro.cloudsim.tracing import NOOP_SPAN, TraceContext, Tracer
 from repro.core.api import ApiGateway, ApiRequest, RouteSpec
 from repro.core.errors import IntegrityError, NotFoundError
 from repro.core.resilience import ResiliencePolicy, ResilientExecutor
@@ -39,7 +34,7 @@ from repro import HealthCloudPlatform
 
 class TestSpanTree:
     def test_root_span_starts_a_new_trace(self):
-        tracer = Tracer()
+        tracer = Tracer(MonitoringService())
         with tracer.span("op", "layer-a", k=1) as span:
             assert span.trace_id == "t-00000001"
             assert span.span_id == "s-00000001"
@@ -49,7 +44,7 @@ class TestSpanTree:
         assert tracer.get_trace("t-00000001") is span
 
     def test_nested_spans_form_a_tree(self):
-        tracer = Tracer()
+        tracer = Tracer(MonitoringService())
         with tracer.span("root", "a") as root:
             with tracer.span("left", "b") as left:
                 pass
@@ -66,7 +61,7 @@ class TestSpanTree:
 
     def test_timestamps_come_from_the_sim_clock(self):
         clock = SimClock()
-        tracer = Tracer(clock)
+        tracer = Tracer(MonitoringService(clock))
         with tracer.span("root", "a") as root:
             clock.advance(1.5)
             with tracer.span("child", "b") as child:
@@ -79,7 +74,7 @@ class TestSpanTree:
 
     def test_tracer_never_advances_the_clock(self):
         clock = SimClock()
-        tracer = Tracer(clock)
+        tracer = Tracer(MonitoringService(clock))
         with tracer.span("root", "a"):
             with tracer.span("child", "b") as child:
                 child.set_attribute("x", 1)
@@ -87,7 +82,7 @@ class TestSpanTree:
         assert clock.now == 0.0
 
     def test_exception_marks_error_status(self):
-        tracer = Tracer()
+        tracer = Tracer(MonitoringService())
         with pytest.raises(ValueError):
             with tracer.span("root", "a") as span:
                 raise ValueError("boom")
@@ -100,7 +95,7 @@ class TestSpanTree:
         # A span entered without a `with` block (or abandoned by an
         # exception) must not wedge the stack: finishing an ancestor pops
         # and closes it.
-        tracer = Tracer()
+        tracer = Tracer(MonitoringService())
         with tracer.span("root", "a") as root:
             abandoned_cm = tracer.span("abandoned", "b")
             abandoned = abandoned_cm.__enter__()
@@ -109,7 +104,7 @@ class TestSpanTree:
         assert [s.name for s in root.walk()] == ["root", "abandoned"]
 
     def test_current_context_tracks_innermost_span(self):
-        tracer = Tracer()
+        tracer = Tracer(MonitoringService())
         assert tracer.current_context() is None
         with tracer.span("root", "a") as root:
             assert tracer.current_context() == TraceContext(
@@ -119,21 +114,19 @@ class TestSpanTree:
         assert tracer.current_context() is None
 
     def test_disabled_tracer_hands_out_the_noop(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.span("x", "y") is NOOP_SPAN
-        assert maybe_span(tracer, "x", "y") is NOOP_SPAN
-        assert maybe_span(None, "x", "y") is NOOP_SPAN
-        assert tracer.trace_ids() == []
+        monitoring = MonitoringService()
+        assert monitoring.span("x", "y") is NOOP_SPAN
+        assert monitoring.trace_context() is None
 
     def test_noop_span_absorbs_the_whole_span_api(self):
-        with maybe_span(None, "x", "y") as span:
+        with MonitoringService().span("x", "y") as span:
             span.set_attribute("a", 1)
             span.add_event("e", 0.0, detail="d")
             span.set_status("ERROR", "nope")
         assert span.trace_id is None
 
     def test_max_traces_bounds_storage(self):
-        tracer = Tracer(max_traces=2)
+        tracer = Tracer(MonitoringService(), max_traces=2)
         for _ in range(3):
             with tracer.span("op", "a"):
                 pass
@@ -142,12 +135,12 @@ class TestSpanTree:
 
     def test_get_trace_unknown_raises_not_found(self):
         with pytest.raises(NotFoundError):
-            Tracer().get_trace("t-99999999")
+            Tracer(MonitoringService()).get_trace("t-99999999")
 
 
 class TestIntegrity:
     def _tree(self):
-        tracer = Tracer()
+        tracer = Tracer(MonitoringService())
         with tracer.span("root", "a") as root:
             with tracer.span("child", "b") as child:
                 child.set_attribute("k", "v")
@@ -188,7 +181,7 @@ class TestIntegrity:
 class TestCriticalPath:
     def test_sequential_children_attribute_everything(self):
         clock = SimClock()
-        tracer = Tracer(clock)
+        tracer = Tracer(MonitoringService(clock))
         with tracer.span("root", "gateway") as root:
             clock.advance(1.0)                    # root self time
             with tracer.span("fetch", "cache"):
@@ -205,7 +198,7 @@ class TestCriticalPath:
 
     def test_deep_nesting_sums_to_root_duration(self):
         clock = SimClock()
-        tracer = Tracer(clock)
+        tracer = Tracer(MonitoringService(clock))
         with tracer.span("a", "l1") as root:
             clock.advance(0.25)
             with tracer.span("b", "l2"):
@@ -221,7 +214,7 @@ class TestCriticalPath:
         assert {s.layer for s in path.segments} == {"l1", "l2", "l3"}
 
     def test_zero_duration_trace_has_no_percentages(self):
-        tracer = Tracer()
+        tracer = Tracer(MonitoringService())
         with tracer.span("instant", "a") as root:
             pass
         path = tracer.critical_path(root.trace_id)
@@ -251,7 +244,7 @@ def build_world(traced=True):
     """
     clock = SimClock()
     monitoring = MonitoringService(clock)
-    tracer = Tracer(clock) if traced else None
+    tracer = Tracer(monitoring) if traced else None
 
     rbac = RbacEngine()
     tenant = rbac.create_tenant("acme")
@@ -269,22 +262,21 @@ def build_world(traced=True):
 
     executor = ResilientExecutor(
         ResiliencePolicy(timeout_s=5.0, max_attempts=3, jitter=0.0),
-        clock=clock, monitoring=monitoring, tracer=tracer)
-    remote = RemoteKnowledgeBase(_TermKb(), clock, resilience=executor)
-    remote.tracer = tracer
+        clock=clock, monitoring=monitoring)
+    remote = RemoteKnowledgeBase(_TermKb(), clock, resilience=executor,
+                                 monitoring=monitoring)
 
     hierarchy = CacheHierarchy(
         [CacheLevel("l1", LruCache(64), 50e-6)],
         Origin("kb-origin", lambda key: remote.call("lookup", key),
                access_cost_s=0.0),
-        clock=clock, monitoring=monitoring, tracer=tracer)
+        clock=clock, monitoring=monitoring)
 
     net = standard_network(seed=7, batch_size=1, clock=clock,
                            monitoring=monitoring)
-    net.tracer = tracer
 
     gateway = ApiGateway(rbac, federation, monitoring=monitoring,
-                         clock=clock, rate_limit=1000, tracer=tracer)
+                         clock=clock, rate_limit=1000)
     seen_contexts = []
 
     def lookup_handler(context, key):
@@ -485,9 +477,7 @@ class TestIngestionTracing:
         from repro.fhir.resources import Bundle, Observation, Patient
 
         p = HealthCloudPlatform(seed=17)
-        tracer = Tracer(p.clock)
-        p.ingestion.tracer = tracer
-        p.blockchain.tracer = tracer
+        tracer = Tracer(p.monitoring)
 
         context = p.register_tenant("acme")
         group = p.rbac.create_group(context.tenant.tenant_id, "study")

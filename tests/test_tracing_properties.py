@@ -34,7 +34,7 @@ OPS = st.lists(
 def build_world(rate_limit):
     clock = SimClock()
     monitoring = MonitoringService(clock)
-    tracer = Tracer(clock)
+    tracer = Tracer(monitoring)
 
     rbac = RbacEngine()
     tenant = rbac.create_tenant("acme")
@@ -52,7 +52,7 @@ def build_world(rate_limit):
 
     gateway = ApiGateway(rbac, federation, monitoring=monitoring,
                          clock=clock, rate_limit=rate_limit,
-                         rate_window_s=60.0, tracer=tracer)
+                         rate_window_s=60.0)
 
     def boom_handler(context, **kw):
         raise RuntimeError("handler exploded "
